@@ -1,7 +1,8 @@
 //! Ablation studies of the design choices called out in `DESIGN.md` §4:
 //!
 //! 1. LSE smoothing γ (paper: ≈100),
-//! 2. Steiner-tree rebuild period (paper: 10),
+//! 2. Steiner-topology drift budget `FlowConfig::topo_dirty_frac` (default
+//!    0.10; replaces the paper's rebuild every 10 iterations),
 //! 3. t1/t2 growth schedule (paper: +1 %/iteration starting ≈ iteration 100),
 //! 4. objective composition (TNS-only vs WNS-only vs both).
 //!
@@ -18,9 +19,10 @@ fn main() {
     let lib = synthetic_pdk();
     let cfg = FlowConfig { trace_timing_every: 0, ..FlowConfig::default() };
     let base = DiffTimingConfig::default();
-    let run = |d: DiffTimingConfig| {
-        run_flow(&design, &lib, FlowMode::Differentiable(d), &cfg).expect("flow succeeds")
+    let run_with = |d: DiffTimingConfig, cfg: &FlowConfig| {
+        run_flow(&design, &lib, FlowMode::Differentiable(d), cfg).expect("flow succeeds")
     };
+    let run = |d: DiffTimingConfig| run_with(d, &cfg);
 
     if which == "gamma" || which == "all" {
         println!("== ablation: LSE smoothing gamma (paper ~100) ==");
@@ -31,11 +33,11 @@ fn main() {
         }
     }
     if which == "steiner" || which == "all" {
-        println!("\n== ablation: Steiner rebuild period (paper: 10) ==");
-        println!("{:<10} {:>10} {:>12} {:>10} {:>8}", "period", "WNS", "TNS", "HPWL", "time");
-        for period in [1usize, 5, 10, 25, 50] {
-            let r = run(DiffTimingConfig { steiner_rebuild_period: period, ..base });
-            println!("{:<10} {:>10.1} {:>12.1} {:>10.0} {:>7.2}s", period, r.wns, r.tns, r.hpwl, r.runtime);
+        println!("\n== ablation: Steiner topology drift budget topo_dirty_frac (default 0.10) ==");
+        println!("{:<10} {:>10} {:>12} {:>10} {:>8}", "frac", "WNS", "TNS", "HPWL", "time");
+        for frac in [0.0, 0.05, 0.10, 0.25, 1.0] {
+            let r = run_with(base, &FlowConfig { topo_dirty_frac: frac, ..cfg });
+            println!("{:<10} {:>10.1} {:>12.1} {:>10.0} {:>7.2}s", frac, r.wns, r.tns, r.hpwl, r.runtime);
         }
     }
     if which == "schedule" || which == "all" {

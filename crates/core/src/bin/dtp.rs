@@ -24,8 +24,8 @@
 //! dtp trace report <trace.jsonl>            phase/level/convergence forensics
 //! ```
 //!
-//! Mode selection is unified under `--mode`; the historical short names
-//! `wl`, `nw` and `diff` still parse as deprecated aliases. The `--top-k`,
+//! Mode selection is unified under `--mode`, which accepts only the four
+//! canonical names above. The `--top-k`,
 //! `--extract-period`, `--path-decay` and `--pin-weight-cap` knobs configure
 //! `--mode path-extraction` and are ignored (with a warning) elsewhere.
 //!
@@ -172,28 +172,15 @@ fn cmd_place(args: &[String]) -> CliResult {
     while i < args.len() {
         match args[i].as_str() {
             "--mode" => {
-                let name = args.get(i + 1).map(String::as_str);
-                mode = match name {
-                    Some("wirelength") => FlowMode::Wirelength,
-                    Some("net-weighting") => FlowMode::net_weighting(),
-                    Some("differentiable") => FlowMode::differentiable(),
-                    Some("path-extraction") => FlowMode::path_extraction(),
-                    // Deprecated short aliases (pre-unification spelling).
-                    Some(alias @ ("wl" | "nw" | "diff")) => {
-                        let (m, canonical) = match alias {
-                            "wl" => (FlowMode::Wirelength, "wirelength"),
-                            "nw" => (FlowMode::net_weighting(), "net-weighting"),
-                            _ => (FlowMode::differentiable(), "differentiable"),
-                        };
-                        obs::warn!(
-                            "warning: `--mode {alias}` is a deprecated alias; \
-                             use `--mode {canonical}`"
-                        );
-                        m
-                    }
+                let name = args.get(i + 1).ok_or("option `--mode` needs a mode name")?;
+                mode = match name.as_str() {
+                    "wirelength" => FlowMode::Wirelength,
+                    "net-weighting" => FlowMode::net_weighting(),
+                    "differentiable" => FlowMode::differentiable(),
+                    "path-extraction" => FlowMode::path_extraction(),
                     other => {
                         return Err(format!(
-                            "unknown mode {other:?} (wirelength|net-weighting|\
+                            "unknown mode `{other}` (wirelength|net-weighting|\
                              differentiable|path-extraction)"
                         )
                         .into())
@@ -358,14 +345,12 @@ fn cmd_place(args: &[String]) -> CliResult {
             c.start_iter
         ),
         FlowMode::Differentiable(c) => obs::info!(
-            "mode differentiable: gamma {} t1 {} t2 {} growth {} start_iter {} \
-             steiner_rebuild_period {}",
+            "mode differentiable: gamma {} t1 {} t2 {} growth {} start_iter {}",
             c.gamma,
             c.t1,
             c.t2,
             c.growth,
-            c.start_iter,
-            c.steiner_rebuild_period
+            c.start_iter
         ),
         FlowMode::PathExtraction(c) => obs::info!(
             "mode path-extraction: top_k {} extract_period {} path_decay {} \

@@ -25,10 +25,6 @@ pub struct DiffTimingConfig {
     /// Iteration at which timing optimization starts ("around the 100th
     /// iteration where cells have been initially spread out").
     pub start_iter: usize,
-    /// Rebuild the Steiner trees every this many iterations; in between the
-    /// Steiner points ride along with their branches (§3.6: "every 10
-    /// iterations").
-    pub steiner_rebuild_period: usize,
     /// Timing-gradient preconditioning (the paper's §5 future-work item):
     /// when > 0, the timing gradient is rescaled each iteration so its
     /// ∞-norm equals this fraction of the wirelength gradient's ∞-norm,
@@ -85,7 +81,6 @@ impl Default for DiffTimingConfig {
             t2: 0.0004,
             growth: 1.01,
             start_iter: 100,
-            steiner_rebuild_period: 10,
             grad_norm_target: 0.0,
             wire_model: WireModelChoice::Elmore,
         }
@@ -99,7 +94,8 @@ pub struct NetWeightConfig {
     pub momentum: f64,
     /// Maximum instantaneous weight boost for a fully critical net.
     pub max_boost: f64,
-    /// Run the (exact) STA and update weights every this many iterations.
+    /// Run the (exact) STA and update weights every this many iterations
+    /// (0 is treated as 1).
     pub sta_period: usize,
     /// Iteration at which weighting starts.
     pub start_iter: usize,
@@ -228,7 +224,6 @@ impl FlowMode {
                 n("t2", c.t2),
                 n("growth", c.growth),
                 u("start_iter", c.start_iter),
-                u("steiner_rebuild_period", c.steiner_rebuild_period),
                 n("grad_norm_target", c.grad_norm_target),
                 (
                     "wire_model".to_string(),
@@ -276,7 +271,6 @@ impl FlowMode {
                         "t2",
                         "growth",
                         "start_iter",
-                        "steiner_rebuild_period",
                         "grad_norm_target",
                         "wire_model",
                     ],
@@ -288,7 +282,6 @@ impl FlowMode {
                     t2: num(fields, "t2")?,
                     growth: num(fields, "growth")?,
                     start_iter: int(fields, "start_iter")?,
-                    steiner_rebuild_period: int(fields, "steiner_rebuild_period")?,
                     grad_norm_target: num(fields, "grad_norm_target")?,
                     wire_model: WireModelChoice::from_name(wire_model)
                         .ok_or_else(|| format!("unknown wire model `{wire_model}`"))?,
@@ -343,19 +336,14 @@ pub struct FlowConfig {
     pub detail_passes: usize,
     /// Which legalization algorithm runs after global placement.
     pub legalizer: LegalizerChoice,
-    /// Drive the per-iteration timing analyses through the dirty-set
-    /// incremental pipeline (per-net Steiner maintenance, incremental STA
-    /// and scratch-buffer reuse). `false` restores the legacy behaviour:
-    /// a blanket periodic forest rebuild and a full analysis every
-    /// timing iteration.
-    pub incremental_timing: bool,
     /// Minimum Manhattan displacement (µm) below which a cell does not
     /// dirty its nets. 0 = any nonzero movement counts.
     pub dirty_threshold: f64,
     /// A net's Steiner topology is rebuilt when the accumulated worst cell
     /// drift since its last build exceeds this fraction of the net's pin
     /// bounding-box half-perimeter; until then only node coordinates are
-    /// updated.
+    /// updated. These per-net budgets take the place of the paper's rebuild
+    /// of every tree every 10 iterations (§3.6).
     pub topo_dirty_frac: f64,
     /// Build the in-loop Steiner forest from the FLUTE-style topology
     /// tables: optimal topologies at degree 4, near-optimal (clamped to
@@ -460,7 +448,7 @@ impl LegalizerChoice {
 }
 
 /// The keys of [`FlowConfig::trace_fields`], in emission order.
-const CONFIG_KEYS: [&str; 28] = [
+const CONFIG_KEYS: [&str; 27] = [
     "max_iters",
     "stop_overflow",
     "bins",
@@ -472,7 +460,6 @@ const CONFIG_KEYS: [&str; 28] = [
     "seed",
     "detail_passes",
     "legalizer",
-    "incremental_timing",
     "dirty_threshold",
     "topo_dirty_frac",
     "rsmt_tables",
@@ -557,7 +544,6 @@ impl FlowConfig {
                 "legalizer".to_string(),
                 Value::Str(self.legalizer.name().to_string()),
             ),
-            b("incremental_timing", self.incremental_timing),
             n("dirty_threshold", self.dirty_threshold),
             n("topo_dirty_frac", self.topo_dirty_frac),
             b("rsmt_tables", self.rsmt_tables),
@@ -603,7 +589,6 @@ impl FlowConfig {
             detail_passes: int(fields, "detail_passes")?,
             legalizer: LegalizerChoice::from_name(legalizer_name)
                 .ok_or_else(|| format!("unknown legalizer `{legalizer_name}`"))?,
-            incremental_timing: boolean(fields, "incremental_timing")?,
             dirty_threshold: num(fields, "dirty_threshold")?,
             topo_dirty_frac: num(fields, "topo_dirty_frac")?,
             rsmt_tables: boolean(fields, "rsmt_tables")?,
@@ -638,7 +623,6 @@ impl Default for FlowConfig {
             seed: 1,
             detail_passes: 2,
             legalizer: LegalizerChoice::Abacus,
-            incremental_timing: true,
             dirty_threshold: 0.0,
             topo_dirty_frac: 0.10,
             rsmt_tables: true,
@@ -671,7 +655,6 @@ mod tests {
         assert_eq!(d.t2, 0.0004);
         assert!((d.growth - 1.01).abs() < 1e-12);
         assert_eq!(d.start_iter, 100);
-        assert_eq!(d.steiner_rebuild_period, 10);
     }
 
     #[test]

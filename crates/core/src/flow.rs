@@ -6,12 +6,14 @@
 //! - wirelength-only: none;
 //! - net weighting: exact STA → per-net weights in the WA wirelength;
 //! - differentiable (ours): smoothed STA → TNS/WNS gradients added to the
-//!   wirelength + density gradient, Steiner forest rebuilt every N
-//!   iterations and branch-updated in between;
+//!   wirelength + density gradient;
 //! - path extraction: forward-only exact STA → top-K critical paths →
 //!   per-net weights concentrated on the extracted pins (the cheap, sharp
 //!   timing signal; same weight slot as net weighting, a fraction of the
 //!   differentiable mode's per-iteration timing cost).
+//!
+//! All modes and levels share one GP step and one timing driver; per-net
+//! drift budgets on the Steiner forest replace §3.6's periodic rebuild.
 //!
 //! Orthogonally to the timing mechanism, [`FlowConfig::route_aware`] enables
 //! the routability subsystem (`dtp-route`): a smoothed congestion penalty
@@ -20,10 +22,10 @@
 //! nets crossing them. The exact RUDY map is maintained incrementally from
 //! the same geometry-dirty net sets that drive incremental timing.
 
-use crate::config::{FlowConfig, FlowMode, LegalizerChoice};
+use crate::config::{DiffTimingConfig, FlowConfig, FlowMode, LegalizerChoice};
 use crate::weighting::{NetWeighter, PathWeighter};
 use dtp_liberty::Library;
-use dtp_netlist::{coarsen, CellId, ClusterMap, Design, NetId, NetlistError};
+use dtp_netlist::{coarsen, CellId, ClusterMap, Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
@@ -52,7 +54,7 @@ const MERGE_CHUNK: usize = 4096;
 const COARSE_STOP_OVERFLOW: f64 = 0.30;
 
 /// Minimum iterations per coarse level before the overflow stop can fire
-/// (mirrors the fine loop's `iter > 30` guard, scaled down).
+/// (mirrors the fine level's `iter > 30` guard, scaled down).
 const COARSE_MIN_ITERS: usize = 10;
 
 /// Density overflow below which a warm-started finest level activates its
@@ -75,20 +77,8 @@ const WARM_TIMING_OVERFLOW: f64 = 0.15;
 /// A slightly steeper anneal compresses that tail.
 const WARM_LAMBDA_GROWTH_BOOST: f64 = 1.01;
 
-/// Seed placement handed to the finest level by the multi-level driver.
-struct WarmStart {
-    /// Interpolated lower-left x positions, indexed by cell.
-    xs: Vec<f64>,
-    /// Interpolated lower-left y positions.
-    ys: Vec<f64>,
-}
-
-/// The solution of one coarse-level placement.
-struct CoarseOutcome {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    iterations: usize,
-}
+/// Lower-left (x, y) per cell, handed down the V-cycle as a warm start.
+type Positions = (Vec<f64>, Vec<f64>);
 
 /// Adds `scale * add` into `acc` elementwise over the persistent pool.
 fn axpy_into(acc: &mut [f64], add: &[f64], scale: f64) {
@@ -99,6 +89,11 @@ fn axpy_into(acc: &mut [f64], add: &[f64], scale: f64) {
                 *x += scale * y;
             }
         });
+}
+
+/// ∞-norm over both gradient components.
+fn max_abs(xs: &[f64], ys: &[f64]) -> f64 {
+    xs.iter().chain(ys).fold(0.0f64, |m, &g| m.max(g.abs()))
 }
 
 /// Errors from the placement flow.
@@ -159,7 +154,7 @@ pub struct TracePoint {
 /// The outcome of one placement flow run.
 #[derive(Clone, Debug)]
 pub struct FlowResult {
-    /// Flow label ("DREAMPlace", "NetWeighting", "Ours").
+    /// Flow label ("DREAMPlace", "NetWeighting", "Ours", "PathExtract").
     pub mode: &'static str,
     /// Design name.
     pub design: String,
@@ -218,10 +213,15 @@ impl fmt::Display for FlowResult {
 
 /// Dirty-set bookkeeping for the incremental timing pipeline.
 ///
-/// One instance lives across the whole placement loop; every buffer persists
-/// between iterations so the per-iteration work is proportional to the
-/// number of moved cells, not the design size.
+/// Created with the in-loop forest and kept for the whole placement loop;
+/// every buffer persists between iterations so the per-iteration work is
+/// proportional to the number of moved cells, not the design size.
+#[derive(Default)]
 struct IncrementalState {
+    /// The dirty-set knobs of [`FlowConfig`].
+    dirty_threshold: f64,
+    topo_frac: f64,
+    fallback_frac: f64,
     /// Positions at the last Steiner-forest synchronization.
     last_x: Vec<f64>,
     last_y: Vec<f64>,
@@ -242,56 +242,41 @@ struct IncrementalState {
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
     touched: Vec<usize>,
+    /// Per-net Steiner update/rebuild scratch.
+    scratch: ForestScratch,
 }
 
 impl IncrementalState {
-    fn new(num_cells: usize) -> IncrementalState {
-        IncrementalState {
-            last_x: Vec::new(),
-            last_y: Vec::new(),
-            net_drift: Vec::new(),
-            net_budget: Vec::new(),
-            net_disp: Vec::new(),
-            cell_moved: vec![false; num_cells],
-            moved_cells: Vec::new(),
-            net_dirty: Vec::new(),
-            dirty_nets: Vec::new(),
-            geo_nets: Vec::new(),
-            topo_nets: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Re-seeds the bookkeeping after a full forest build: budgets from the
-    /// fresh trees, zero drift, reference positions = current positions.
-    fn reset_after_build(
-        &mut self,
+    /// Starts the bookkeeping from a freshly built forest: budgets from its
+    /// trees, zero drift, reference positions = current positions.
+    fn new(
+        nl: &Netlist,
         forest: &SteinerForest,
         xs: &[f64],
         ys: &[f64],
-        topo_frac: f64,
-    ) {
+        config: &FlowConfig,
+    ) -> IncrementalState {
         let n = forest.len();
-        self.net_drift.clear();
-        self.net_drift.resize(n, 0.0);
-        self.net_disp.clear();
-        self.net_disp.resize(n, 0.0);
-        self.net_budget.clear();
-        self.net_budget.extend((0..n).map(|ni| {
-            topo_frac
-                * forest
-                    .tree(NetId::new(ni))
-                    .map_or(0.0, |t| t.pin_bbox_half_perimeter())
-        }));
-        self.net_dirty.clear();
-        self.net_dirty.resize(n, false);
-        self.dirty_nets.clear();
-        self.last_x.clear();
-        self.last_x.extend_from_slice(xs);
-        self.last_y.clear();
-        self.last_y.extend_from_slice(ys);
-        self.cell_moved.fill(false);
-        self.moved_cells.clear();
+        let mut state = IncrementalState {
+            dirty_threshold: config.dirty_threshold,
+            topo_frac: config.topo_dirty_frac,
+            fallback_frac: config.incremental_fallback_frac,
+            last_x: xs.to_vec(),
+            last_y: ys.to_vec(),
+            net_drift: vec![0.0; n],
+            net_disp: vec![0.0; n],
+            cell_moved: vec![false; nl.num_cells()],
+            net_dirty: vec![false; n],
+            ..IncrementalState::default()
+        };
+        state.net_budget = (0..n).map(|ni| state.budget(forest, NetId::new(ni))).collect();
+        state.scratch.presize(nl.num_nets());
+        state
+    }
+
+    /// Drift a net may accumulate before its topology is rebuilt.
+    fn budget(&self, forest: &SteinerForest, net: NetId) -> f64 {
+        self.topo_frac * forest.tree(net).map_or(0.0, |t| t.pin_bbox_half_perimeter())
     }
 
     /// Per-iteration forest maintenance: classify the nets of moved cells as
@@ -300,20 +285,18 @@ impl IncrementalState {
     /// and fold the moved cells into the since-last-analysis dirty set.
     fn sync_forest(
         &mut self,
-        nl: &dtp_netlist::Netlist,
+        nl: &Netlist,
         forest: &mut SteinerForest,
         xs: &[f64],
         ys: &[f64],
-        config: &FlowConfig,
-        scratch: &mut ForestScratch,
+        obs: &mut Observer,
     ) {
-        let dirty_threshold = config.dirty_threshold;
-        let topo_frac = config.topo_dirty_frac;
+        let sp = obs.start(Phase::SteinerUpdate);
         self.touched.clear();
         for c in nl.movable_cells() {
             let i = c.index();
             let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
-            if d <= dirty_threshold {
+            if d <= self.dirty_threshold {
                 continue;
             }
             if !self.cell_moved[i] {
@@ -349,27 +332,29 @@ impl IncrementalState {
                 self.geo_nets.push(NetId::new(ni));
             }
         }
-        forest.update_nets_into(nl, &self.geo_nets, scratch);
-        forest.rebuild_nets_into(nl, &self.topo_nets, scratch);
+        forest.update_nets_into(nl, &self.geo_nets, &mut self.scratch);
+        forest.rebuild_nets_into(nl, &self.topo_nets, &mut self.scratch);
         for &net in &self.topo_nets {
-            let ni = net.index();
-            self.net_drift[ni] = 0.0;
-            self.net_budget[ni] = topo_frac
-                * forest
-                    .tree(net)
-                    .map_or(0.0, |t| t.pin_bbox_half_perimeter());
+            self.net_drift[net.index()] = 0.0;
+            self.net_budget[net.index()] = self.budget(forest, net);
         }
         self.last_x.copy_from_slice(xs);
         self.last_y.copy_from_slice(ys);
+        obs.stop(Phase::SteinerUpdate, sp);
+        obs.add(Counter::ForestSyncs, 1);
+        obs.add(Counter::GeoDirtyNets, self.geo_nets.len() as u64);
+        obs.add(Counter::TopoDirtyNets, self.topo_nets.len() as u64);
     }
 
-    /// Fraction of nets dirtied since the last analysis.
-    fn dirty_fraction(&self, num_nets: usize) -> f64 {
-        if num_nets == 0 {
+    /// Whether few enough nets were dirtied since the last analysis for an
+    /// incremental re-analysis to pay off (at most the fallback fraction).
+    fn incremental_pays(&self, num_nets: usize) -> bool {
+        let frac = if num_nets == 0 {
             0.0
         } else {
             self.dirty_nets.len() as f64 / num_nets as f64
-        }
+        };
+        frac <= self.fallback_frac
     }
 
     /// Clears the since-last-analysis dirty set (call right after an
@@ -381,6 +366,439 @@ impl IncrementalState {
         for ni in self.dirty_nets.drain(..) {
             self.net_dirty[ni] = false;
         }
+    }
+}
+
+/// What differs between the GP steps of the V-cycle levels (level 0 is the
+/// input design). A level stops once overflow drops under `stop_overflow`
+/// after more than `min_iters` iterations; `lambda_ratio` is the first
+/// iteration's density/wirelength gradient ℓ1-norm balance.
+struct LevelParams {
+    level: usize,
+    bins: usize,
+    stop_overflow: f64,
+    min_iters: usize,
+    lambda_growth: f64,
+    lambda_ratio: f64,
+}
+
+/// The shared global-placement step: plain ePlace — WA wirelength +
+/// electrostatic density under preconditioned Nesterov. Every buffer
+/// persists across iterations, so the steady-state step allocates nothing.
+struct GpStep {
+    params: LevelParams,
+    wl_model: WirelengthModel,
+    density: DensityModel,
+    bin_w: f64,
+    /// Per-cell preconditioner ingredients.
+    pin_count: Vec<f64>,
+    areas: Vec<f64>,
+    opt: NesterovOptimizer,
+    /// This iteration's positions and combined gradient.
+    vx: Vec<f64>,
+    vy: Vec<f64>,
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+    wl_scratch: WirelengthScratch,
+    dscratch: DensityScratch,
+    dres: DensityResult,
+    precond: Vec<f64>,
+    lambda: f64,
+    /// Overflow and smoothed WA wirelength of the latest evaluation.
+    overflow: f64,
+    wl: f64,
+    /// Iterations started so far.
+    iterations: usize,
+}
+
+impl GpStep {
+    /// Seeds `work` — from `warm`, or cold as a cluster at the core center
+    /// with small noise — and builds the models for the level.
+    fn new(
+        work: &mut Design,
+        warm: Option<Positions>,
+        params: LevelParams,
+        config: &FlowConfig,
+    ) -> GpStep {
+        match warm {
+            Some((xs, ys)) => work.netlist.set_positions(&xs, &ys),
+            None => {
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let center = work.region.center();
+                let (mut xs, mut ys) = work.netlist.positions();
+                for c in work.netlist.movable_cells() {
+                    let i = c.index();
+                    let class = work.netlist.class_of(c);
+                    xs[i] = center.x - 0.5 * class.width()
+                        + rng.gen_range(-0.02..0.02) * work.region.width();
+                    ys[i] = center.y - 0.5 * class.height()
+                        + rng.gen_range(-0.02..0.02) * work.region.height();
+                }
+                work.netlist.set_positions(&xs, &ys);
+            }
+        }
+        let nl = &work.netlist;
+        let wl_model = WirelengthModel::new(nl);
+        let density = DensityModel::with_options(
+            work,
+            params.bins,
+            params.bins,
+            config.target_density,
+            config.density_fft,
+        );
+        let bin_w = work.region.width() / params.bins as f64;
+        let mut pin_count = vec![0.0f64; nl.num_cells()];
+        for p in nl.pin_ids() {
+            if nl.pin(p).net().is_some() {
+                pin_count[nl.pin(p).cell().index()] += 1.0;
+            }
+        }
+        let mut dscratch = DensityScratch::new();
+        density.presize_scratch(&mut dscratch);
+        GpStep {
+            params,
+            wl_model,
+            density,
+            bin_w,
+            pin_count,
+            areas: nl.cell_ids().map(|c| nl.class_of(c).area()).collect(),
+            opt: NesterovOptimizer::new(work, bin_w),
+            vx: Vec::new(),
+            vy: Vec::new(),
+            gx: Vec::new(),
+            gy: Vec::new(),
+            wl_scratch: WirelengthScratch::new(),
+            dscratch,
+            dres: DensityResult::default(),
+            precond: Vec::new(),
+            lambda: config.lambda_init,
+            overflow: 1.0,
+            wl: f64::NAN,
+            iterations: 0,
+        }
+    }
+
+    /// Opens iteration `iter` and refills the position buffers.
+    fn begin(&mut self, iter: usize, obs: &mut Observer) {
+        self.iterations = iter + 1;
+        obs.iter_begin();
+        obs.add(Counter::Iterations, 1);
+        if self.params.level > 0 {
+            obs.add(Counter::CoarseIterations, 1);
+        }
+        let (a, b) = self.opt.positions();
+        self.vx.clear();
+        self.vx.extend_from_slice(a);
+        self.vy.clear();
+        self.vy.extend_from_slice(b);
+    }
+
+    /// Writes the WA wirelength gradient (γ annealed with overflow, nets
+    /// scaled by `weights`) plus the λ-weighted density gradient into
+    /// `gx`/`gy`. On the first iteration λ auto-balances against the
+    /// wirelength gradient.
+    fn wirelength_density(&mut self, weights: Option<&[f64]>, obs: &mut Observer) {
+        let wa_gamma = (self.bin_w * (0.1 + 8.0 * self.overflow)).max(1e-3);
+        let sp = obs.start(Phase::WirelengthGrad);
+        self.wl = self.wl_model.wa_gradient_into(
+            &self.vx,
+            &self.vy,
+            wa_gamma,
+            weights,
+            &mut self.wl_scratch,
+            &mut self.gx,
+            &mut self.gy,
+        );
+        obs.stop(Phase::WirelengthGrad, sp);
+
+        let sp = obs.start(Phase::DensityGrad);
+        self.density
+            .evaluate_into(&self.vx, &self.vy, &mut self.dscratch, &mut self.dres);
+        self.overflow = self.dres.overflow;
+        if self.lambda == 0.0 {
+            let l1 = |x: &[f64], y: &[f64]| -> f64 { x.iter().chain(y).map(|g| g.abs()).sum() };
+            let d_norm = l1(&self.dres.grad_x, &self.dres.grad_y);
+            self.lambda = if d_norm > 0.0 {
+                self.params.lambda_ratio * l1(&self.gx, &self.gy) / d_norm
+            } else {
+                1.0
+            };
+        }
+        axpy_into(&mut self.gx, &self.dres.grad_x, self.lambda);
+        axpy_into(&mut self.gy, &self.dres.grad_y, self.lambda);
+        obs.stop(Phase::DensityGrad, sp);
+    }
+
+    /// Takes the preconditioned Nesterov step on `gx`/`gy`, grows λ and
+    /// closes the iteration with its telemetry event. Returns whether the
+    /// level's stop criterion fired.
+    fn step(
+        &mut self,
+        iter: usize,
+        hpwl: f64,
+        wns: f64,
+        tns: f64,
+        timing: bool,
+        obs: &mut Observer,
+    ) -> bool {
+        let sp = obs.start(Phase::NesterovStep);
+        let lambda = self.lambda;
+        self.precond.resize(self.pin_count.len(), 0.0);
+        self.precond
+            .par_chunks_mut(MERGE_CHUNK)
+            .zip(self.pin_count.par_chunks(MERGE_CHUNK))
+            .zip(self.areas.par_chunks(MERGE_CHUNK))
+            .for_each(|((pr, pc), ar)| {
+                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
+                    *p = (c + lambda * a).max(1.0);
+                }
+            });
+        let step = self.opt.step(&self.gx, &self.gy, &self.precond);
+        self.lambda *= self.params.lambda_growth;
+        obs.stop(Phase::NesterovStep, sp);
+
+        // The event records the λ this iteration's gradient actually used
+        // (post auto-balance, pre growth).
+        obs.iter_end(IterEvent {
+            iter: iter as u64,
+            level: self.params.level as u32,
+            wl: self.wl,
+            hpwl,
+            overflow: self.overflow,
+            lambda,
+            step,
+            wns,
+            tns,
+            timing,
+        });
+        iter > self.params.min_iters && self.overflow < self.params.stop_overflow
+    }
+}
+
+/// Which analysis a timing mechanism consumes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum AnalysisKind {
+    /// LSE-smoothed at the timer's γ. The gradients never read RATs, so the
+    /// incremental path skips the backward sweep.
+    Smoothed,
+    /// Exact, with RATs: the net weighter reads per-pin slacks, so the
+    /// incremental path recomputes the RAT sweep too.
+    WithRat,
+    /// Exact and forward-only: path extraction reads only arrival times and
+    /// endpoint slacks, so no RAT sweep runs on either path.
+    NoRat,
+}
+
+/// How a timing mechanism feeds its analysis back into the objective.
+enum Mechanism {
+    /// Wirelength mode: no timing in the loop.
+    None,
+    /// Differentiable mode: the t1/t2-scaled TNS/WNS gradient joins the
+    /// wirelength + density gradient; t1/t2 grow every analysis.
+    Gradient {
+        cfg: DiffTimingConfig,
+        t1: f64,
+        t2: f64,
+        grads: PositionGradients,
+    },
+    /// Net-weighting mode: momentum net weights in the WA wirelength.
+    NetWeights(NetWeighter),
+    /// Path-extraction mode: top-K path weights in the WA wirelength.
+    Paths(PathWeighter),
+}
+
+/// The flow's one timing driver, built once per level from the
+/// [`FlowMode`]: the timer, the mode's mechanism and its cadence — an
+/// analysis every `period` iterations from `start` on.
+struct TimingDriver {
+    timer: Timer,
+    mechanism: Mechanism,
+    /// First timing iteration; `usize::MAX` = not (yet) active.
+    start: usize,
+    period: usize,
+    scratch: AnalysisScratch,
+    /// The latest analysis: the base of the next incremental one.
+    prev: Option<Analysis>,
+}
+
+impl TimingDriver {
+    /// The timer `mode` analyzes with: the differentiable mode's γ and wire
+    /// model, the defaults otherwise.
+    fn timer(design: &Design, lib: &Library, mode: FlowMode) -> Result<Timer, StaError> {
+        let mut config = TimerConfig::default();
+        if let FlowMode::Differentiable(d) = mode {
+            config.gamma = d.gamma;
+            config.wire_model = d.wire_model.into();
+        }
+        Timer::with_config(design, lib, config)
+    }
+
+    /// Wraps `timer` with the mode's mechanism. A cold flow starts timing at
+    /// the mode's `start_iter`.
+    fn new(timer: Timer, mode: FlowMode, nl: &Netlist, wl_model: &WirelengthModel) -> TimingDriver {
+        let (mechanism, start, period) = match mode {
+            FlowMode::Wirelength => (Mechanism::None, usize::MAX, 1),
+            FlowMode::NetWeighting(c) => (
+                Mechanism::NetWeights(NetWeighter::new(wl_model, c)),
+                c.start_iter,
+                c.sta_period.max(1),
+            ),
+            FlowMode::Differentiable(c) => (
+                Mechanism::Gradient {
+                    cfg: c,
+                    t1: c.t1,
+                    t2: c.t2,
+                    grads: PositionGradients::default(),
+                },
+                c.start_iter,
+                1,
+            ),
+            FlowMode::PathExtraction(c) => (
+                Mechanism::Paths(PathWeighter::new(nl, wl_model, c)),
+                c.start_iter,
+                c.extract_period.max(1),
+            ),
+        };
+        let scratch = AnalysisScratch::new();
+        TimingDriver { timer, mechanism, start, period, scratch, prev: None }
+    }
+
+    /// The analysis the mechanism consumes.
+    fn analysis_kind(&self) -> AnalysisKind {
+        match self.mechanism {
+            Mechanism::Gradient { .. } => AnalysisKind::Smoothed,
+            Mechanism::NetWeights(_) => AnalysisKind::WithRat,
+            Mechanism::None | Mechanism::Paths(_) => AnalysisKind::NoRat,
+        }
+    }
+
+    /// Whether `iter` runs an analysis.
+    fn due(&self, iter: usize) -> bool {
+        iter >= self.start && (iter - self.start).is_multiple_of(self.period)
+    }
+
+    /// The mechanism's net weights for the WA wirelength, if it has any.
+    fn weights(&self) -> Option<&[f64]> {
+        match &self.mechanism {
+            Mechanism::NetWeights(w) => Some(w.weights()),
+            Mechanism::Paths(p) => Some(p.weights()),
+            Mechanism::None | Mechanism::Gradient { .. } => None,
+        }
+    }
+
+    /// Runs the mechanism's analysis on `forest`. With dirty-set
+    /// bookkeeping (`inc`), the previous analysis is updated incrementally
+    /// while few enough nets are dirty, and a full analysis past that point
+    /// counts as a fallback. Without it (coarse levels, which build a fresh
+    /// forest per analysis) every analysis is full.
+    fn analyze(
+        &mut self,
+        nl: &Netlist,
+        forest: &SteinerForest,
+        mut inc: Option<&mut IncrementalState>,
+        obs: &mut Observer,
+    ) -> Analysis {
+        let kind = self.analysis_kind();
+        let gamma = if kind == AnalysisKind::Smoothed { self.timer.config().gamma } else { 0.0 };
+        let sp = obs.start(Phase::StaForward);
+        let analysis = match (self.prev.take(), inc.as_deref_mut()) {
+            (Some(p), Some(inc)) if p.gamma == gamma && inc.incremental_pays(forest.len()) => {
+                obs.add(Counter::StaIncremental, 1);
+                let a = self.timer.analyze_incremental_into(
+                    nl,
+                    forest,
+                    &p,
+                    &inc.moved_cells,
+                    kind == AnalysisKind::WithRat,
+                    &mut self.scratch,
+                );
+                self.scratch.recycle(p);
+                a
+            }
+            (p, inc) => {
+                obs.add(Counter::StaFull, 1);
+                if let Some(p) = p {
+                    if inc.is_some() {
+                        obs.add(Counter::StaFallback, 1);
+                    }
+                    self.scratch.recycle(p);
+                }
+                let s = &mut self.scratch;
+                match kind {
+                    AnalysisKind::Smoothed => self.timer.analyze_smoothed_into(nl, forest, s),
+                    AnalysisKind::WithRat => self.timer.analyze_into(nl, forest, s),
+                    AnalysisKind::NoRat => self.timer.analyze_no_rat_into(nl, forest, s),
+                }
+            }
+        };
+        if let Some(inc) = inc {
+            inc.mark_analyzed();
+        }
+        obs.stop(Phase::StaForward, sp);
+        analysis
+    }
+
+    /// Feeds `analysis` into the objective: adds the scaled timing gradient
+    /// to `gp`'s gradient, or updates the net weights. Returns the exact
+    /// (WNS, TNS) it saw — NaN for the smoothed analysis.
+    fn apply(
+        &mut self,
+        nl: &Netlist,
+        forest: &SteinerForest,
+        analysis: Analysis,
+        gp: &mut GpStep,
+        obs: &mut Observer,
+    ) -> (f64, f64) {
+        let traced = match &mut self.mechanism {
+            Mechanism::Gradient { cfg, t1, t2, grads } => {
+                let sp = obs.start(Phase::StaBackward);
+                self.timer
+                    .gradients_into(nl, &analysis, forest, *t1, *t2, &mut self.scratch, grads);
+                obs.stop(Phase::StaBackward, sp);
+                // Optional preconditioning (§5 future work): normalize the
+                // timing gradient against the combined WL+density gradient.
+                let scale = if cfg.grad_norm_target > 0.0 {
+                    let t_norm = max_abs(&grads.cell_grad_x, &grads.cell_grad_y);
+                    if t_norm > 0.0 {
+                        cfg.grad_norm_target * max_abs(&gp.gx, &gp.gy) / t_norm
+                    } else {
+                        0.0
+                    }
+                } else {
+                    1.0
+                };
+                axpy_into(&mut gp.gx, &grads.cell_grad_x, scale);
+                axpy_into(&mut gp.gy, &grads.cell_grad_y, scale);
+                *t1 *= cfg.growth;
+                *t2 *= cfg.growth;
+                (f64::NAN, f64::NAN)
+            }
+            Mechanism::NetWeights(w) => {
+                let sp = obs.start(Phase::NetWeight);
+                w.update(nl, &gp.wl_model, &analysis);
+                obs.stop(Phase::NetWeight, sp);
+                (analysis.wns(), analysis.tns())
+            }
+            Mechanism::Paths(p) => {
+                let sp = obs.start(Phase::PathExtract);
+                p.update(nl, &self.timer, &analysis);
+                obs.stop(Phase::PathExtract, sp);
+                obs.add(Counter::PathExtractions, 1);
+                (analysis.wns(), analysis.tns())
+            }
+            Mechanism::None => (f64::NAN, f64::NAN),
+        };
+        self.prev = Some(analysis);
+        traced
+    }
+}
+
+/// Latches an activation iteration: `start` becomes `iter` the first time
+/// the overflow — still the previous iteration's value when called —
+/// drops under `threshold`.
+fn latch_start(start: &mut usize, iter: usize, overflow: f64, threshold: f64) {
+    if *start == usize::MAX && iter > 0 && overflow < threshold {
+        *start = iter;
     }
 }
 
@@ -404,13 +822,9 @@ struct RouteState {
     combined: Vec<f64>,
     /// Per-cell inflation factors for the density model.
     inflation: Vec<f64>,
-    /// Latched once density overflow first drops under
-    /// [`ROUTE_START_OVERFLOW`]; counts active iterations for the feedback
-    /// cadence.
-    iters_active: usize,
-    active: bool,
-    /// Whether the map has been built from a forest yet.
-    built: bool,
+    /// First active iteration, latched once density overflow first drops
+    /// under [`ROUTE_START_OVERFLOW`]; `usize::MAX` until then.
+    start: usize,
     /// Whether any boost differs from 1 (skips the weight merge if not).
     boosted: bool,
 }
@@ -426,9 +840,7 @@ impl RouteState {
             boost: Vec::new(),
             combined: Vec::new(),
             inflation: Vec::new(),
-            iters_active: 0,
-            active: false,
-            built: false,
+            start: usize::MAX,
             boosted: false,
         }
     }
@@ -533,10 +945,10 @@ fn emit_trace_header(design: &Design, mode: FlowMode, config: &FlowConfig, obs: 
 /// The multi-level (clustered) V-cycle: coarsen the netlist `levels - 1`
 /// times, place the coarsest level from a cold start, then walk back down
 /// the ladder — interpolate each coarse solution onto the next finer level
-/// and refine it there. Coarse levels run wirelength + density only (cluster
-/// pseudo-cells carry synthetic classes the liberty library cannot bind);
-/// the finest level runs the full flow, warm-started, with its timing
-/// mechanism engaging at [`WARM_TIMING_START`].
+/// and refine it there. Coarse levels run wirelength + density (plus path
+/// extraction where endpoints survive, see [`run_coarse_level`]); the
+/// finest level runs the full flow, warm-started, with its timing mechanism
+/// engaging at [`WARM_TIMING_OVERFLOW`].
 fn run_flow_multilevel(
     design: &Design,
     lib: &Library,
@@ -569,17 +981,17 @@ fn run_flow_multilevel(
     // Upstroke: coarsest → finest. Each level refines the previous level's
     // interpolated solution; the coarsest starts cold.
     let mut level_iterations: Vec<usize> = Vec::new();
-    let mut warm_pos: Option<(Vec<f64>, Vec<f64>)> = None;
+    let mut warm_pos: Option<Positions> = None;
     for l in (0..designs.len()).rev() {
-        let out =
+        let ((xs, ys), iterations) =
             run_coarse_level(&mut designs[l], l + 1, lib, mode, config, obs, warm_pos.take());
         dtp_obs::info!(
             "multilevel: level {} ({} clusters) placed in {} iterations",
             l + 1,
             designs[l].netlist.num_cells(),
-            out.iterations
+            iterations
         );
-        level_iterations.push(out.iterations);
+        level_iterations.push(iterations);
         let coarse_nl = &designs[l].netlist;
         let (fine_nl, region) = if l == 0 {
             (&design.netlist, design.region)
@@ -589,21 +1001,13 @@ fn run_flow_multilevel(
         let sp = obs.start(Phase::Interpolate);
         let (mut fx, mut fy) = fine_nl.positions();
         maps[l].interpolate(
-            fine_nl, coarse_nl, region, config.seed, &out.xs, &out.ys, &mut fx, &mut fy,
+            fine_nl, coarse_nl, region, config.seed, &xs, &ys, &mut fx, &mut fy,
         );
         obs.stop(Phase::Interpolate, sp);
         warm_pos = Some((fx, fy));
     }
 
-    let (wxs, wys) = warm_pos.take().expect("ladder is non-empty");
-    let mut result = run_flow_fine(
-        design,
-        lib,
-        mode,
-        config,
-        obs,
-        Some(WarmStart { xs: wxs, ys: wys }),
-    )?;
+    let mut result = run_flow_fine(design, lib, mode, config, obs, warm_pos)?;
     dtp_obs::info!(
         "multilevel: level 0 ({} cells) refined in {} iterations",
         design.netlist.num_cells(),
@@ -616,21 +1020,22 @@ fn run_flow_multilevel(
     Ok(result)
 }
 
-/// Places one coarse (clustered) design: plain ePlace — WA wirelength +
-/// electrostatic density under preconditioned Nesterov — with no routing
-/// machinery and, in most modes, no timing (cluster pseudo-cells carry
-/// synthetic classes the library cannot bind, so the full differentiable
-/// objective is unavailable here).
+/// Places one coarse (clustered) design with the shared [`GpStep`] and no
+/// routing machinery. In most modes there is no timing either: cluster
+/// pseudo-cells carry synthetic classes the library cannot bind, so the
+/// full differentiable objective is unavailable here.
 ///
 /// The one exception is [`FlowMode::PathExtraction`]: its timing signal
 /// needs only a forward analysis over whatever endpoints *survive*
 /// coarsening (uncollapsed registers, primary outputs), so when the coarse
-/// design still has endpoints, the level periodically extracts the top-K
-/// paths and carries their net weights in the WA wirelength — timing
-/// pressure on the levels where the differentiable gradient cannot run.
+/// design still has endpoints, the level extracts the top-K paths from
+/// iteration 0 at the extraction cadence — on a fresh forest, with a full
+/// analysis — *before* the wirelength gradient, so the new weights act in
+/// the same iteration. That puts timing pressure on the levels where the
+/// differentiable gradient cannot run.
 ///
 /// Returns the global-placement solution (unlegalized; finer levels only
-/// need the arrangement).
+/// need the arrangement) and the level's iteration count.
 fn run_coarse_level(
     work: &mut Design,
     level: usize,
@@ -638,198 +1043,59 @@ fn run_coarse_level(
     mode: FlowMode,
     config: &FlowConfig,
     obs: &mut Observer,
-    warm: Option<(Vec<f64>, Vec<f64>)>,
-) -> CoarseOutcome {
-    let nl_cells = work.netlist.num_cells();
-    // Halve the density grid per level (floor 32): clusters are ~ratio×
-    // larger than cells, so the field granularity must coarsen with them or
-    // it fights cluster interleaving the finer levels resolve trivially.
-    // Powers of two are preserved, so the FFT backend still applies.
-    let bins = (config.bins >> level).max(32.min(config.bins));
-
-    match warm {
-        Some((xs, ys)) => work.netlist.set_positions(&xs, &ys),
-        None => {
-            // Cold start: same center-cluster seeding as the fine flow.
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let center = work.region.center();
-            let (mut xs, mut ys) = work.netlist.positions();
-            for c in work.netlist.movable_cells() {
-                let i = c.index();
-                let class = work.netlist.class_of(c);
-                xs[i] = center.x - 0.5 * class.width()
-                    + rng.gen_range(-0.02..0.02) * work.region.width();
-                ys[i] = center.y - 0.5 * class.height()
-                    + rng.gen_range(-0.02..0.02) * work.region.height();
-            }
-            work.netlist.set_positions(&xs, &ys);
-        }
-    }
-
-    let wl_model = WirelengthModel::new(&work.netlist);
-    let density = DensityModel::with_options(
-        work,
-        bins,
-        bins,
-        config.target_density,
-        config.density_fft,
-    );
-    let bin_w = work.region.width() / bins as f64;
-    let mut pin_count = vec![0.0f64; nl_cells];
-    for p in work.netlist.pin_ids() {
-        if work.netlist.pin(p).net().is_some() {
-            pin_count[work.netlist.pin(p).cell().index()] += 1.0;
-        }
-    }
-    let areas: Vec<f64> = work
-        .netlist
-        .cell_ids()
-        .map(|c| work.netlist.class_of(c).area())
-        .collect();
-    let mut opt = NesterovOptimizer::new(work, bin_w);
-    let mut vx: Vec<f64> = Vec::new();
-    let mut vy: Vec<f64> = Vec::new();
-    let mut wl_scratch = WirelengthScratch::new();
-    let mut gx: Vec<f64> = Vec::new();
-    let mut gy: Vec<f64> = Vec::new();
-    let mut dscratch = DensityScratch::new();
-    density.presize_scratch(&mut dscratch);
-    let mut dres = DensityResult::default();
-    let mut precond: Vec<f64> = Vec::new();
-    let mut lambda = config.lambda_init;
-    let mut overflow = 1.0f64;
-    let stop_overflow = config.stop_overflow.max(COARSE_STOP_OVERFLOW);
-
-    // Coarse path extraction: only when the mode asks for it, the clustered
-    // netlist still binds (synthetic cluster classes bind as unbound
-    // pass-throughs), and some endpoints survived coarsening. Everything is
-    // guarded — a fully clustered proxy with no endpoints skips the
-    // machinery entirely and the level stays pure wirelength + density.
-    let mut coarse_paths = match mode {
-        FlowMode::PathExtraction(pcfg) => Timer::new(work, lib)
+    warm: Option<Positions>,
+) -> (Positions, usize) {
+    let params = LevelParams {
+        level,
+        // Halve the density grid per level (floor 32): clusters are ~ratio×
+        // larger than cells, so the field granularity must coarsen with
+        // them or it fights cluster interleaving the finer levels resolve
+        // trivially. Powers of two are preserved, so the FFT backend still
+        // applies.
+        bins: (config.bins >> level).max(32.min(config.bins)),
+        stop_overflow: config.stop_overflow.max(COARSE_STOP_OVERFLOW),
+        min_iters: COARSE_MIN_ITERS,
+        // Clusters pre-aggregate connectivity, so the coarse anneal can
+        // afford a density schedule twice as steep as the fine flow's: the
+        // arrangement forms in roughly half the iterations at no observed
+        // quality cost (the finer levels re-anneal the endgame anyway).
+        lambda_growth: config.lambda_growth * config.lambda_growth,
+        lambda_ratio: 0.1,
+    };
+    let mut gp = GpStep::new(work, warm, params, config);
+    // Everything is guarded — a fully clustered proxy with no endpoints
+    // skips the machinery and the level stays pure wirelength + density.
+    let mut driver = match mode {
+        FlowMode::PathExtraction(_) => TimingDriver::timer(work, lib, mode)
             .ok()
             .filter(|t| !t.graph().endpoints().is_empty())
-            .map(|t| {
-                let pw = PathWeighter::new(&work.netlist, &wl_model, pcfg);
-                (t, pw, AnalysisScratch::new(), pcfg.extract_period.max(1))
+            .map(|t| TimingDriver {
+                start: 0,
+                ..TimingDriver::new(t, mode, &work.netlist, &gp.wl_model)
             }),
         _ => None,
     };
-    // Clusters pre-aggregate connectivity, so the coarse anneal can afford a
-    // density schedule twice as steep as the fine flow's: the arrangement
-    // forms in roughly half the iterations at no observed quality cost (the
-    // finer levels re-anneal the endgame anyway).
-    let lambda_growth = config.lambda_growth * config.lambda_growth;
 
-    let mut iterations = 0usize;
     for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        obs.iter_begin();
-        obs.add(Counter::Iterations, 1);
-        obs.add(Counter::CoarseIterations, 1);
-
-        {
-            let (a, b) = opt.positions();
-            vx.clear();
-            vx.extend_from_slice(a);
-            vy.clear();
-            vy.extend_from_slice(b);
+        gp.begin(iter, obs);
+        let (mut wns, mut tns) = (f64::NAN, f64::NAN);
+        if let Some(d) = driver.as_mut().filter(|d| d.due(iter)) {
+            work.netlist.set_positions(&gp.vx, &gp.vy);
+            let sp = obs.start(Phase::SteinerBuild);
+            let forest = build_forest(&work.netlist);
+            obs.stop(Phase::SteinerBuild, sp);
+            obs.add(Counter::ForestBuilds, 1);
+            let analysis = d.analyze(&work.netlist, &forest, None, obs);
+            (wns, tns) = d.apply(&work.netlist, &forest, analysis, &mut gp, obs);
         }
-
-        // Periodic top-K extraction (path-extraction mode only): a fresh
-        // forest + forward-only analysis at the extraction cadence; the
-        // resulting net weights ride in the WA wirelength below until the
-        // next extraction.
-        let mut traced_wns = f64::NAN;
-        let mut traced_tns = f64::NAN;
-        if let Some((timer, pw, ascratch, period)) = coarse_paths.as_mut() {
-            if iter % *period == 0 {
-                work.netlist.set_positions(&vx, &vy);
-                let sp = obs.start(Phase::SteinerBuild);
-                let f = build_forest(&work.netlist);
-                obs.stop(Phase::SteinerBuild, sp);
-                obs.add(Counter::ForestBuilds, 1);
-                let sp = obs.start(Phase::StaForward);
-                let a = timer.analyze_no_rat_into(&work.netlist, &f, ascratch);
-                obs.stop(Phase::StaForward, sp);
-                obs.add(Counter::StaFull, 1);
-                let sp = obs.start(Phase::PathExtract);
-                pw.update(&work.netlist, timer, &a);
-                obs.stop(Phase::PathExtract, sp);
-                obs.add(Counter::PathExtractions, 1);
-                traced_wns = a.wns();
-                traced_tns = a.tns();
-                ascratch.recycle(a);
-            }
-        }
-        let weights = coarse_paths.as_ref().map(|(_, pw, _, _)| pw.weights());
-
-        let wa_gamma = (bin_w * (0.1 + 8.0 * overflow)).max(1e-3);
-        let sp = obs.start(Phase::WirelengthGrad);
-        let wl_value = wl_model.wa_gradient_into(
-            &vx,
-            &vy,
-            wa_gamma,
-            weights,
-            &mut wl_scratch,
-            &mut gx,
-            &mut gy,
-        );
-        obs.stop(Phase::WirelengthGrad, sp);
-
-        let sp = obs.start(Phase::DensityGrad);
-        density.evaluate_into(&vx, &vy, &mut dscratch, &mut dres);
-        overflow = dres.overflow;
-        if lambda == 0.0 {
-            let wl_norm: f64 = gx.iter().chain(gy.iter()).map(|g| g.abs()).sum();
-            let d_norm: f64 = dres
-                .grad_x
-                .iter()
-                .chain(dres.grad_y.iter())
-                .map(|g| g.abs())
-                .sum();
-            lambda = if d_norm > 0.0 { 0.1 * wl_norm / d_norm } else { 1.0 };
-        }
-        axpy_into(&mut gx, &dres.grad_x, lambda);
-        axpy_into(&mut gy, &dres.grad_y, lambda);
-        obs.stop(Phase::DensityGrad, sp);
-
-        let sp = obs.start(Phase::NesterovStep);
-        precond.resize(nl_cells, 0.0);
-        precond
-            .par_chunks_mut(MERGE_CHUNK)
-            .zip(pin_count.par_chunks(MERGE_CHUNK))
-            .zip(areas.par_chunks(MERGE_CHUNK))
-            .for_each(|((pr, pc), ar)| {
-                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
-                    *p = (c + lambda * a).max(1.0);
-                }
-            });
-        let step = opt.step(&gx, &gy, &precond);
-        let iter_lambda = lambda;
-        lambda *= lambda_growth;
-        obs.stop(Phase::NesterovStep, sp);
-
-        obs.iter_end(IterEvent {
-            iter: iter as u64,
-            level: level as u32,
-            wl: wl_value,
-            hpwl: f64::NAN,
-            overflow,
-            lambda: iter_lambda,
-            step,
-            wns: traced_wns,
-            tns: traced_tns,
-            timing: coarse_paths.is_some(),
-        });
-
-        if iter > COARSE_MIN_ITERS && overflow < stop_overflow {
+        gp.wirelength_density(driver.as_ref().and_then(TimingDriver::weights), obs);
+        if gp.step(iter, f64::NAN, wns, tns, driver.is_some(), obs) {
             break;
         }
     }
 
-    let (sx, sy) = opt.solution();
-    CoarseOutcome { xs: sx.to_vec(), ys: sy.to_vec(), iterations }
+    let (sx, sy) = gp.opt.solution();
+    ((sx.to_vec(), sy.to_vec()), gp.iterations)
 }
 
 fn run_flow_fine(
@@ -838,103 +1104,51 @@ fn run_flow_fine(
     mode: FlowMode,
     config: &FlowConfig,
     obs: &mut Observer,
-    warm: Option<WarmStart>,
+    warm: Option<Positions>,
 ) -> Result<FlowResult, FlowError> {
     let t_start = Instant::now();
     // `timing_runtime` is reported as the STA-span delta across this run,
     // so a reused observer does not double-count an earlier run's time.
     let sta_seconds_at_entry = obs.sta_seconds();
     let mut work = design.clone();
-    let nl_cells = work.netlist.num_cells();
+    let warm_start = warm.is_some();
 
-    // --- initial placement ---------------------------------------------------
-    // Cold start: cluster at the core center with small noise. Warm start
-    // (multi-level): seed from the interpolated coarse solution.
-    match &warm {
-        Some(w) => work.netlist.set_positions(&w.xs, &w.ys),
-        None => {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let center = work.region.center();
-            let (mut xs, mut ys) = work.netlist.positions();
-            for c in work.netlist.movable_cells() {
-                let i = c.index();
-                let class = work.netlist.class_of(c);
-                xs[i] = center.x - 0.5 * class.width()
-                    + rng.gen_range(-0.02..0.02) * work.region.width();
-                ys[i] = center.y - 0.5 * class.height()
-                    + rng.gen_range(-0.02..0.02) * work.region.height();
-            }
-            work.netlist.set_positions(&xs, &ys);
-        }
+    // A warm start (multi-level) re-enters the λ schedule "mid-flight": the
+    // placement is already spread, so the density gradient is small and the
+    // cold-start auto-balance ratio would over-weight density from the first
+    // step, freezing the arrangement before wirelength (and timing) can
+    // improve it. A lower ratio restores the wirelength-dominant phase the
+    // cold schedule gets for free; the anneal is then compressed slightly
+    // to keep the (expensive) endgame short.
+    let params = LevelParams {
+        level: 0,
+        bins: config.bins,
+        stop_overflow: config.stop_overflow,
+        min_iters: 30,
+        lambda_growth: if warm_start {
+            config.lambda_growth * WARM_LAMBDA_GROWTH_BOOST
+        } else {
+            config.lambda_growth
+        },
+        lambda_ratio: if warm_start { 0.05 } else { 0.1 },
+    };
+    // The timer is built before the GP models so their buffers reuse the
+    // heap its construction frees (a lower peak RSS); the pre-sized scratch
+    // keeps the steady-state iteration allocation-free.
+    let timer = TimingDriver::timer(&work, lib, mode)?;
+    let mut gp = GpStep::new(&mut work, warm, params, config);
+    let mut driver = TimingDriver::new(timer, mode, &work.netlist, &gp.wl_model);
+    driver.scratch.presize(work.netlist.num_pins(), work.netlist.num_nets());
+    // A warm start cannot tell which iteration is "spread enough", so its
+    // timing start latches on overflow instead ([`WARM_TIMING_OVERFLOW`]).
+    let latch_timing = warm_start && !matches!(driver.mechanism, Mechanism::None);
+    if latch_timing {
+        driver.start = usize::MAX;
     }
-
-    // Iteration at which the mode's timing mechanism activates. A cold start
-    // uses the mode's `start_iter` directly; a warm start doesn't know which
-    // iteration corresponds to "spread enough", so it starts unset and is
-    // latched below once overflow first drops under [`WARM_TIMING_OVERFLOW`].
-    // Pure-wirelength mode never activates timing, warm or not.
-    let mut timing_start = match (mode, &warm) {
-        (FlowMode::Wirelength, _) => usize::MAX,
-        (_, Some(_)) => usize::MAX,
-        (FlowMode::Differentiable(d), None) => d.start_iter,
-        (FlowMode::NetWeighting(n), None) => n.start_iter,
-        (FlowMode::PathExtraction(p), None) => p.start_iter,
-    };
-
-    // A warm start re-enters λ low (auto-balance ratio below) to rebuild a
-    // wirelength-dominant phase, but the standard growth then crawls through
-    // the overflow tail — the placement is already globally arranged, so the
-    // anneal is compressed slightly to keep the (expensive) endgame short.
-    let lambda_growth = match &warm {
-        Some(_) => config.lambda_growth * WARM_LAMBDA_GROWTH_BOOST,
-        None => config.lambda_growth,
-    };
-
-    // --- models -------------------------------------------------------------
-    let wl_model = WirelengthModel::new(&work.netlist);
-    let mut density = DensityModel::with_options(
-        &work,
-        config.bins,
-        config.bins,
-        config.target_density,
-        config.density_fft,
-    );
-    let bin_w = work.region.width() / config.bins as f64;
-    let (timer_gamma, wire_model) = match mode {
-        FlowMode::Differentiable(d) => (d.gamma, d.wire_model.into()),
-        _ => (TimerConfig::default().gamma, dtp_sta::WireModel::Elmore),
-    };
-    let timer = Timer::with_config(
-        &work,
-        lib,
-        TimerConfig { gamma: timer_gamma, wire_model, ..TimerConfig::default() },
-    )?;
-    let mut weighter = match mode {
-        FlowMode::NetWeighting(cfg) => Some(NetWeighter::new(&wl_model, cfg)),
-        _ => None,
-    };
-    let mut path_weighter = match mode {
-        FlowMode::PathExtraction(cfg) => {
-            Some(PathWeighter::new(&work.netlist, &wl_model, cfg))
-        }
-        _ => None,
-    };
-    // Per-cell preconditioner ingredients.
-    let mut pin_count = vec![0.0f64; nl_cells];
-    for p in work.netlist.pin_ids() {
-        if work.netlist.pin(p).net().is_some() {
-            pin_count[work.netlist.pin(p).cell().index()] += 1.0;
-        }
-    }
-    let areas: Vec<f64> = work
-        .netlist
-        .cell_ids()
-        .map(|c| work.netlist.class_of(c).area())
-        .collect();
 
     let mut route = config.route_aware.then(|| RouteState::new(&work, config));
-    let mut opt = NesterovOptimizer::new(&work, bin_w);
-    let mut forest: Option<SteinerForest> = None;
+    // The in-loop Steiner forest and its dirty-set bookkeeping.
+    let mut tracked: Option<(SteinerForest, IncrementalState)> = None;
     // Topology-table configuration for the in-loop forest; the post-GP and
     // final reporting forests always use the legacy constructions so the
     // reported metrics stay comparable across configurations.
@@ -942,124 +1156,38 @@ fn run_flow_fine(
         enabled: config.rsmt_tables,
         max_degree: config.rsmt_table_max_degree,
     };
-    let mut forest_scratch = ForestScratch::new();
-    let mut inc = IncrementalState::new(nl_cells);
-    let mut scratch = AnalysisScratch::new();
-    // Pre-size every scratch from the design's stats so the steady-state
-    // iteration allocates nothing: the warm-up growth that used to happen
-    // lazily inside the first iterations happens here, once.
-    forest_scratch.presize(work.netlist.num_nets());
-    scratch.presize(work.netlist.num_pins(), work.netlist.num_nets());
-    let mut grads = PositionGradients::default();
-    let mut prev: Option<Analysis> = None;
-    // Persistent position buffers (refilled from the optimizer each
-    // iteration instead of allocating two fresh Vecs).
-    let mut vx: Vec<f64> = Vec::new();
-    let mut vy: Vec<f64> = Vec::new();
-    // Persistent gradient-path buffers: with these, the steady-state
-    // wirelength + density + timing gradient evaluation allocates nothing.
-    let mut wl_scratch = WirelengthScratch::new();
-    let mut gx: Vec<f64> = Vec::new();
-    let mut gy: Vec<f64> = Vec::new();
-    let mut dscratch = DensityScratch::new();
-    density.presize_scratch(&mut dscratch);
-    let mut dres = DensityResult::default();
-    let mut precond: Vec<f64> = Vec::new();
-    let mut lambda = config.lambda_init;
-    let mut overflow = 1.0f64;
     let mut trace = Vec::new();
-    let (mut t1, mut t2) = match mode {
-        FlowMode::Differentiable(d) => (d.t1, d.t2),
-        _ => (0.0, 0.0),
-    };
 
-    let mut iterations = 0usize;
     for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        obs.iter_begin();
-        obs.add(Counter::Iterations, 1);
-        {
-            let (a, b) = opt.positions();
-            vx.clear();
-            vx.extend_from_slice(a);
-            vy.clear();
-            vy.extend_from_slice(b);
-        }
-        work.netlist.set_positions(&vx, &vy);
+        gp.begin(iter, obs);
+        work.netlist.set_positions(&gp.vx, &gp.vy);
 
-        // Warm-started timing latch: `overflow` here is still the previous
-        // iteration's value, same as the route-activation latch below.
-        if warm.is_some()
-            && timing_start == usize::MAX
-            && !matches!(mode, FlowMode::Wirelength)
-            && iter > 0
-            && overflow < WARM_TIMING_OVERFLOW
-        {
-            timing_start = iter;
+        // Warm-started timing and congestion optimization latch on once the
+        // cells have spread out.
+        if latch_timing {
+            latch_start(&mut driver.start, iter, gp.overflow, WARM_TIMING_OVERFLOW);
         }
-        // Steiner forest maintenance (only when some consumer needs it).
-        let timing_active = iter >= timing_start;
-        let trace_timing =
-            config.trace_timing_every > 0 && iter % config.trace_timing_every == 0;
-        // Congestion optimization latches on once the cells have spread out
-        // (`overflow` here is still the previous iteration's value).
         if let Some(rs) = route.as_mut() {
-            if !rs.active && iter > 0 && overflow < ROUTE_START_OVERFLOW {
-                rs.active = true;
-            }
+            latch_start(&mut rs.start, iter, gp.overflow, ROUTE_START_OVERFLOW);
         }
-        let route_active = route.as_ref().is_some_and(|rs| rs.active);
+        let timing_active = iter >= driver.start;
+        let route_active = route.as_ref().is_some_and(|rs| iter >= rs.start);
+        let trace_timing = config.trace_timing_every > 0 && iter % config.trace_timing_every == 0;
+
+        // Steiner forest maintenance (only when some consumer needs it):
+        // one full build, then per-net coordinate updates for
+        // geometry-dirty nets and per-net rebuilds once a net's accumulated
+        // drift exceeds its bbox budget.
         if timing_active || trace_timing || route_active {
-            if config.incremental_timing {
-                // Dirty-set maintenance: per-net coordinate updates for
-                // geometry-dirty nets, per-net Steiner rebuilds once a net's
-                // accumulated drift exceeds its bbox budget. Replaces the
-                // blanket periodic full-forest rebuild.
-                match &mut forest {
-                    Some(f) => {
-                        let sp = obs.start(Phase::SteinerUpdate);
-                        inc.sync_forest(
-                            &work.netlist,
-                            f,
-                            &vx,
-                            &vy,
-                            config,
-                            &mut forest_scratch,
-                        );
-                        obs.stop(Phase::SteinerUpdate, sp);
-                        obs.add(Counter::ForestSyncs, 1);
-                        obs.add(Counter::GeoDirtyNets, inc.geo_nets.len() as u64);
-                        obs.add(Counter::TopoDirtyNets, inc.topo_nets.len() as u64);
-                    }
-                    None => {
-                        let sp = obs.start(Phase::SteinerBuild);
-                        let f = build_forest_with(&work.netlist, table_cfg);
-                        inc.reset_after_build(&f, &vx, &vy, config.topo_dirty_frac);
-                        forest = Some(f);
-                        obs.stop(Phase::SteinerBuild, sp);
-                        obs.add(Counter::ForestBuilds, 1);
-                        if let Some(p) = prev.take() {
-                            scratch.recycle(p);
-                        }
-                    }
-                }
-            } else {
-                let rebuild_period = match mode {
-                    FlowMode::Differentiable(d) => d.steiner_rebuild_period,
-                    _ => 10,
-                };
-                match &mut forest {
-                    Some(f) if iter % rebuild_period != 0 => {
-                        let sp = obs.start(Phase::SteinerUpdate);
-                        f.update_positions(&work.netlist);
-                        obs.stop(Phase::SteinerUpdate, sp);
-                    }
-                    _ => {
-                        let sp = obs.start(Phase::SteinerBuild);
-                        forest = Some(build_forest_with(&work.netlist, table_cfg));
-                        obs.stop(Phase::SteinerBuild, sp);
-                        obs.add(Counter::ForestBuilds, 1);
-                    }
+            match &mut tracked {
+                Some((f, inc)) => inc.sync_forest(&work.netlist, f, &gp.vx, &gp.vy, obs),
+                None => {
+                    let sp = obs.start(Phase::SteinerBuild);
+                    let f = build_forest_with(&work.netlist, table_cfg);
+                    let inc = IncrementalState::new(&work.netlist, &f, &gp.vx, &gp.vy, config);
+                    tracked = Some((f, inc));
+                    obs.stop(Phase::SteinerBuild, sp);
+                    obs.add(Counter::ForestBuilds, 1);
                 }
             }
         }
@@ -1067,133 +1195,71 @@ fn run_flow_fine(
         // Exact RUDY map maintenance: full build on activation, then
         // incremental updates from the same geometry/topology-dirty net
         // sets the incremental timer consumes (plus a cell-position scan
-        // for the pin-density term). The legacy (non-incremental) path has
-        // no dirty sets and rebuilds at the feedback cadence instead.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
-            let f = forest.as_ref().expect("forest built when route is active");
+        // for the pin-density term).
+        if let Some(rs) = route.as_mut().filter(|_| route_active) {
+            let (f, inc) = tracked.as_ref().expect("forest built when route is active");
             let sp = obs.start(Phase::RudyUpdate);
-            if !rs.built {
+            if iter == rs.start {
                 rs.map.build(&work.netlist, f);
-                rs.built = true;
                 obs.add(Counter::RudyBuilds, 1);
-            } else if config.incremental_timing {
+            } else {
                 rs.map.update_nets(f, &inc.geo_nets);
                 rs.map.update_nets(f, &inc.topo_nets);
                 rs.map.sync_cells(&work.netlist);
                 obs.add(Counter::RudyIncUpdates, 1);
-            } else if rs.iters_active % config.route_update_period.max(1) == 0 {
-                rs.map.build(&work.netlist, f);
-                obs.add(Counter::RudyBuilds, 1);
             }
             obs.stop(Phase::RudyUpdate, sp);
         }
 
-        // Wirelength gradient (WA), γ annealed with overflow; congested
-        // nets carry their boosted weight (merged with the timing
-        // weighter's weights when both mechanisms are on).
-        let wa_gamma = (bin_w * (0.1 + 8.0 * overflow)).max(1e-3);
-        let sp = obs.start(Phase::WirelengthGrad);
-        let timing_weights = weighter
-            .as_ref()
-            .map(NetWeighter::weights)
-            .or_else(|| path_weighter.as_ref().map(PathWeighter::weights));
+        // Wirelength + density gradient; congested nets carry their boosted
+        // weight (merged with the timing mechanism's weights when both are
+        // on).
+        let mut weights = driver.weights();
         if let Some(rs) = route.as_mut().filter(|rs| rs.boosted) {
             rs.combined.clear();
-            match timing_weights {
-                Some(w) => rs
-                    .combined
-                    .extend(w.iter().zip(&rs.boost).map(|(a, b)| a * b)),
+            match weights {
+                Some(w) => rs.combined.extend(w.iter().zip(&rs.boost).map(|(a, b)| a * b)),
                 None => rs.combined.extend_from_slice(&rs.boost),
             }
+            weights = Some(rs.combined.as_slice());
         }
-        let weights = match route.as_ref() {
-            Some(rs) if rs.boosted => Some(rs.combined.as_slice()),
-            _ => timing_weights,
-        };
-        let wl_value = wl_model.wa_gradient_into(
-            &vx,
-            &vy,
-            wa_gamma,
-            weights,
-            &mut wl_scratch,
-            &mut gx,
-            &mut gy,
-        );
-        obs.stop(Phase::WirelengthGrad, sp);
-
-        // Density gradient.
-        let sp = obs.start(Phase::DensityGrad);
-        density.evaluate_into(&vx, &vy, &mut dscratch, &mut dres);
-        overflow = dres.overflow;
-        if lambda == 0.0 {
-            // Auto-balance λ against the wirelength gradient on iteration 0.
-            // A warm start re-enters the λ schedule "mid-flight": the
-            // placement is already spread, so the density gradient is small
-            // and the cold-start ratio would over-weight density from the
-            // first step, freezing the arrangement before wirelength (and
-            // timing) can improve it. A lower ratio restores the
-            // wirelength-dominant phase the cold schedule gets for free.
-            let ratio = if warm.is_some() { 0.05 } else { 0.1 };
-            let wl_norm: f64 = gx.iter().chain(gy.iter()).map(|g| g.abs()).sum();
-            let d_norm: f64 = dres
-                .grad_x
-                .iter()
-                .chain(dres.grad_y.iter())
-                .map(|g| g.abs())
-                .sum();
-            lambda = if d_norm > 0.0 { ratio * wl_norm / d_norm } else { 1.0 };
-        }
-        axpy_into(&mut gx, &dres.grad_x, lambda);
-        axpy_into(&mut gy, &dres.grad_y, lambda);
-        obs.stop(Phase::DensityGrad, sp);
+        gp.wirelength_density(weights, obs);
 
         // Congestion penalty gradient, normalized like the timing
         // preconditioner: its ∞-norm is pinned to `route_weight` times the
         // combined wirelength+density gradient's, so the pressure tracks
-        // the optimizer's scale instead of the raw demand units.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
-            let f = forest.as_ref().expect("forest built when route is active");
-            let sp = obs.start(Phase::CongestionGrad);
-            rs.penalty
-                .value_and_gradient(&work.netlist, f, &mut rs.pgx, &mut rs.pgy);
-            let base_norm = gx
-                .iter()
-                .chain(gy.iter())
-                .fold(0.0f64, |m, &g| m.max(g.abs()));
-            let p_norm = rs
-                .pgx
-                .iter()
-                .chain(rs.pgy.iter())
-                .fold(0.0f64, |m, &g| m.max(g.abs()));
-            if p_norm > 0.0 {
-                let scale = config.route_weight * base_norm / p_norm;
-                axpy_into(&mut gx, &rs.pgx, scale);
-                axpy_into(&mut gy, &rs.pgy, scale);
-            }
-            obs.stop(Phase::CongestionGrad, sp);
-        }
-
+        // the optimizer's scale instead of the raw demand units. Then the
         // RUDY feedback every `route_update_period` active iterations:
         // inflate cells in overflowed bins (density-model footprints) and
         // boost the wirelength weight of nets crossing them; both take
         // effect from the next iteration's gradients.
-        if route_active {
-            let rs = route.as_mut().expect("route state exists when active");
+        if let Some(rs) = route.as_mut().filter(|_| route_active) {
+            let (f, _) = tracked.as_ref().expect("forest built when route is active");
+            let sp = obs.start(Phase::CongestionGrad);
+            rs.penalty
+                .value_and_gradient(&work.netlist, f, &mut rs.pgx, &mut rs.pgy);
+            let p_norm = max_abs(&rs.pgx, &rs.pgy);
+            if p_norm > 0.0 {
+                let scale = config.route_weight * max_abs(&gp.gx, &gp.gy) / p_norm;
+                axpy_into(&mut gp.gx, &rs.pgx, scale);
+                axpy_into(&mut gp.gy, &rs.pgy, scale);
+            }
+            obs.stop(Phase::CongestionGrad, sp);
+
             let sp = obs.start(Phase::RudyUpdate);
-            if rs.iters_active % config.route_update_period.max(1) == 0 {
+            if (iter - rs.start) % config.route_update_period.max(1) == 0 {
                 inflation_factors(
                     &rs.map,
                     &work.netlist,
                     config.inflation_max,
                     &mut rs.inflation,
                 );
-                density.set_inflation(&rs.inflation);
-                rs.boost.resize(wl_model.num_nets(), 1.0);
+                gp.density.set_inflation(&rs.inflation);
+                let nets = gp.wl_model.num_nets();
+                rs.boost.resize(nets, 1.0);
                 rs.boosted = false;
-                for e in 0..wl_model.num_nets() {
-                    let over = rs.map.net_overflow(NetId::new(wl_model.net_index(e)));
+                for e in 0..nets {
+                    let over = rs.map.net_overflow(NetId::new(gp.wl_model.net_index(e)));
                     let b = 1.0 + config.route_weight * over.min(1.0);
                     rs.boost[e] = b;
                     if b != 1.0 {
@@ -1201,257 +1267,50 @@ fn run_flow_fine(
                     }
                 }
             }
-            rs.iters_active += 1;
             obs.stop(Phase::RudyUpdate, sp);
         }
 
-        // Timing mechanisms.
-        let mut traced_wns = f64::NAN;
-        let mut traced_tns = f64::NAN;
-        match mode {
-            FlowMode::Differentiable(dcfg) if timing_active => {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // Incremental smoothed analysis when only a few nets are
-                // dirty; full re-analysis on the first timing iteration and
-                // past the fallback fraction. Gradients never read RATs, so
-                // the incremental path skips the backward sweep.
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == timer_gamma
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            false,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_smoothed_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::StaBackward);
-                timer.gradients_into(
-                    &work.netlist,
-                    &analysis,
-                    f,
-                    t1,
-                    t2,
-                    &mut scratch,
-                    &mut grads,
-                );
-                prev = Some(analysis);
-                obs.stop(Phase::StaBackward, sp);
-                // Optional preconditioning (§5 future work): normalize the
-                // timing gradient against the combined WL+density gradient.
-                let scale = if dcfg.grad_norm_target > 0.0 {
-                    let base_norm = gx
-                        .iter()
-                        .chain(gy.iter())
-                        .fold(0.0f64, |m, &g| m.max(g.abs()));
-                    let t_norm = grads
-                        .cell_grad_x
-                        .iter()
-                        .chain(grads.cell_grad_y.iter())
-                        .fold(0.0f64, |m, &g| m.max(g.abs()));
-                    if t_norm > 0.0 { dcfg.grad_norm_target * base_norm / t_norm } else { 0.0 }
-                } else {
-                    1.0
-                };
-                axpy_into(&mut gx, &grads.cell_grad_x, scale);
-                axpy_into(&mut gy, &grads.cell_grad_y, scale);
-                t1 *= dcfg.growth;
-                t2 *= dcfg.growth;
-            }
-            FlowMode::NetWeighting(wcfg)
-                if timing_active && (iter - timing_start) % wcfg.sta_period == 0 =>
-            {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // The weighter reads per-pin slacks, so the incremental
-                // path must recompute the RAT sweep (`recompute_rat`).
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == 0.0
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            true,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::NetWeight);
-                weighter
-                    .as_mut()
-                    .expect("weighter exists in net-weighting mode")
-                    .update(&work.netlist, &wl_model, &analysis);
-                obs.stop(Phase::NetWeight, sp);
-                traced_wns = analysis.wns();
-                traced_tns = analysis.tns();
-                prev = Some(analysis);
-            }
-            FlowMode::PathExtraction(pcfg)
-                if timing_active
-                    && (iter - timing_start) % pcfg.extract_period.max(1) == 0 =>
-            {
-                let f = forest.as_ref().expect("forest built when timing is active");
-                let sp = obs.start(Phase::StaForward);
-                // Path extraction reads only arrival times and endpoint
-                // slacks, so no RAT sweep runs on either path: the
-                // incremental analysis skips it (`recompute_rat = false`)
-                // and the full analysis is forward-only.
-                let analysis = match prev.take() {
-                    Some(p)
-                        if config.incremental_timing
-                            && p.gamma == 0.0
-                            && inc.dirty_fraction(f.len())
-                                <= config.incremental_fallback_frac =>
-                    {
-                        obs.add(Counter::StaIncremental, 1);
-                        let a = timer.analyze_incremental_into(
-                            &work.netlist,
-                            f,
-                            &p,
-                            &inc.moved_cells,
-                            false,
-                            &mut scratch,
-                        );
-                        scratch.recycle(p);
-                        a
-                    }
-                    p => {
-                        obs.add(Counter::StaFull, 1);
-                        if config.incremental_timing && p.is_some() {
-                            obs.add(Counter::StaFallback, 1);
-                        }
-                        if let Some(p) = p {
-                            scratch.recycle(p);
-                        }
-                        timer.analyze_no_rat_into(&work.netlist, f, &mut scratch)
-                    }
-                };
-                inc.mark_analyzed();
-                obs.stop(Phase::StaForward, sp);
-                let sp = obs.start(Phase::PathExtract);
-                path_weighter
-                    .as_mut()
-                    .expect("path weighter exists in path-extraction mode")
-                    .update(&work.netlist, &timer, &analysis);
-                obs.stop(Phase::PathExtract, sp);
-                obs.add(Counter::PathExtractions, 1);
-                traced_wns = analysis.wns();
-                traced_tns = analysis.tns();
-                prev = Some(analysis);
-            }
-            _ => {}
+        // Timing mechanism, after density: net weights it updates take
+        // effect from the next iteration's wirelength gradient.
+        let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
+        if driver.due(iter) {
+            let (f, inc) = tracked.as_mut().expect("forest built when timing is active");
+            let analysis = driver.analyze(&work.netlist, f, Some(inc), obs);
+            (traced_wns, traced_tns) = driver.apply(&work.netlist, f, analysis, &mut gp, obs);
         }
 
-        // Trace (exact timing only every `trace_timing_every` iterations).
-        if trace_timing && traced_wns.is_nan() {
-            if let Some(f) = forest.as_ref() {
+        // Trace: exact timing and HPWL only every `trace_timing_every`
+        // iterations; telemetry reuses the HPWL and reports `null` elsewhere
+        // (the smoothed WA wirelength is free every iteration).
+        let mut iter_hpwl = f64::NAN;
+        if trace_timing {
+            if traced_wns.is_nan() {
+                let (f, _) = tracked.as_ref().expect("forest built when tracing");
                 let sp = obs.start(Phase::TraceSta);
-                let analysis = timer.analyze(&work.netlist, f);
+                let analysis = driver.timer.analyze(&work.netlist, f);
                 obs.stop(Phase::TraceSta, sp);
                 obs.add(Counter::TraceAnalyses, 1);
                 traced_wns = analysis.wns();
                 traced_tns = analysis.tns();
             }
-        }
-        // Exact HPWL is only computed on traced iterations; telemetry reuses
-        // it and reports `null` elsewhere (the smoothed WA wirelength is
-        // free every iteration).
-        let iter_hpwl = if trace_timing { wl_model.hpwl(&vx, &vy) } else { f64::NAN };
-        if trace_timing {
+            iter_hpwl = gp.wl_model.hpwl(&gp.vx, &gp.vy);
             trace.push(TracePoint {
                 iter,
                 hpwl: iter_hpwl,
-                overflow,
+                overflow: gp.overflow,
                 wns: traced_wns,
                 tns: traced_tns,
             });
         }
 
-        // Preconditioned Nesterov step (persistent buffer, no per-iteration
-        // allocation).
-        let sp = obs.start(Phase::NesterovStep);
-        precond.resize(nl_cells, 0.0);
-        precond
-            .par_chunks_mut(MERGE_CHUNK)
-            .zip(pin_count.par_chunks(MERGE_CHUNK))
-            .zip(areas.par_chunks(MERGE_CHUNK))
-            .for_each(|((pr, pc), ar)| {
-                for ((p, &c), &a) in pr.iter_mut().zip(pc).zip(ar) {
-                    *p = (c + lambda * a).max(1.0);
-                }
-            });
-        let step = opt.step(&gx, &gy, &precond);
-        // The trace records the λ this iteration's gradient actually used
-        // (post auto-balance, pre growth).
-        let iter_lambda = lambda;
-        lambda *= lambda_growth;
-        obs.stop(Phase::NesterovStep, sp);
-
-        obs.iter_end(IterEvent {
-            iter: iter as u64,
-            level: 0,
-            wl: wl_value,
-            hpwl: iter_hpwl,
-            overflow,
-            lambda: iter_lambda,
-            step,
-            wns: traced_wns,
-            tns: traced_tns,
-            timing: timing_active,
-        });
-
-        if iter > 30 && overflow < config.stop_overflow {
+        if gp.step(iter, iter_hpwl, traced_wns, traced_tns, timing_active, obs) {
             break;
         }
     }
 
     // --- post-GP metrics ------------------------------------------------------
     let (sx, sy) = {
-        let (a, b) = opt.solution();
+        let (a, b) = gp.opt.solution();
         (a.to_vec(), b.to_vec())
     };
     work.netlist.set_positions(&sx, &sy);
@@ -1460,9 +1319,9 @@ fn run_flow_fine(
     obs.stop(Phase::SteinerBuild, sp);
     obs.add(Counter::ForestBuilds, 1);
     let sp = obs.start(Phase::FinalSta);
-    let gp_analysis = timer.analyze(&work.netlist, &gp_forest);
+    let gp_analysis = driver.timer.analyze(&work.netlist, &gp_forest);
     obs.stop(Phase::FinalSta, sp);
-    let gp_hpwl = wl_model.hpwl(&sx, &sy);
+    let gp_hpwl = gp.wl_model.hpwl(&sx, &sy);
     let (gp_wns, gp_tns) = (gp_analysis.wns(), gp_analysis.tns());
 
     // --- legalization + detailed placement -------------------------------------
@@ -1491,7 +1350,7 @@ fn run_flow_fine(
     obs.stop(Phase::SteinerBuild, sp);
     obs.add(Counter::ForestBuilds, 1);
     let sp = obs.start(Phase::FinalSta);
-    let final_analysis = timer.analyze(&work.netlist, &final_forest);
+    let final_analysis = driver.timer.analyze(&work.netlist, &final_forest);
     obs.stop(Phase::FinalSta, sp);
     let congestion = {
         let g = config.route_grid.max(2);
@@ -1502,11 +1361,11 @@ fn run_flow_fine(
         obs.add(Counter::RudyBuilds, 1);
         map.summary()
     };
-    let rsmt = forest.as_ref().map(SteinerForest::stats).unwrap_or_default();
+    let rsmt = tracked.as_ref().map(|(f, _)| f.stats()).unwrap_or_default();
 
     // End-of-run gauges: backend selections and pool state. Cheap enough to
     // record unconditionally (the registry writes are gated inside `gauge`).
-    obs.gauge(Gauge::FftBackend, if density.uses_fft() { 1.0 } else { 0.0 });
+    obs.gauge(Gauge::FftBackend, if gp.density.uses_fft() { 1.0 } else { 0.0 });
     obs.gauge(Gauge::OverflowedFrac, congestion.overflowed_frac);
     obs.gauge(Gauge::RsmtExact, rsmt.exact as f64);
     obs.gauge(Gauge::RsmtTable, rsmt.table as f64);
@@ -1521,15 +1380,15 @@ fn run_flow_fine(
     Ok(FlowResult {
         mode: mode.label(),
         design: design.name.clone(),
-        hpwl: wl_model.hpwl(&lx, &ly),
+        hpwl: gp.wl_model.hpwl(&lx, &ly),
         wns: final_analysis.wns(),
         tns: final_analysis.tns(),
         wns_hold: final_analysis.wns_hold(),
         gp_hpwl,
         gp_wns,
         gp_tns,
-        iterations,
-        level_iterations: vec![iterations],
+        iterations: gp.iterations,
+        level_iterations: vec![gp.iterations],
         runtime: t_start.elapsed().as_secs_f64(),
         timing_runtime,
         trace,

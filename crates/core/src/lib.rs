@@ -18,8 +18,8 @@
 //!   exact STA (DREAMPlace 4.0 \[24\], Eq. 4);
 //! - [`FlowMode::Differentiable`] — the paper's method: direct gradient
 //!   descent on smoothed TNS/WNS with t1/t2 grown 1 %/iteration from a warm
-//!   start (§4), Steiner trees rebuilt every N iterations and moved with
-//!   their branches in between (§3.6, Fig. 7);
+//!   start (§4), Steiner trees moved with their branches and rebuilt per
+//!   net once its pins drift past a budget (§3.6, Fig. 7);
 //! - [`FlowMode::PathExtraction`] — top-K critical-path extraction
 //!   (arXiv 2503.11674): a periodic forward-only exact STA traces the K
 //!   worst paths and concentrates net weights on their pins, approaching

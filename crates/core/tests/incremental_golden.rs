@@ -8,7 +8,8 @@
 //! it) must produce the *same trajectory*: identical WNS/TNS at every traced
 //! iteration and identical final placements.
 
-use dtp_core::{run_flow, FlowConfig, FlowMode, FlowResult};
+use dtp_core::{run_flow, run_flow_observed, FlowConfig, FlowMode, FlowResult, Observer};
+use dtp_obs::Counter;
 use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 
@@ -20,7 +21,6 @@ fn config(fallback_frac: f64) -> FlowConfig {
     FlowConfig {
         max_iters: 300,
         trace_timing_every: 10,
-        incremental_timing: true,
         incremental_fallback_frac: fallback_frac,
         ..FlowConfig::default()
     }
@@ -85,19 +85,20 @@ fn net_weighting_incremental_matches_full_reanalysis() {
 }
 
 #[test]
-fn legacy_full_rebuild_path_still_runs() {
-    // `incremental_timing = false` restores the periodic blanket rebuild; it
-    // must still produce a sane, finite result (trajectories legitimately
-    // differ because the forest maintenance schedule differs).
+fn path_extraction_incremental_matches_full_reanalysis() {
+    // The forward-only (no-RAT) analysis: the incremental sweep must leave
+    // arrivals and endpoint slacks — all that path extraction reads — equal
+    // to a full forward analysis.
     let d = design();
     let lib = synthetic_pdk();
-    let cfg = FlowConfig {
-        max_iters: 300,
-        trace_timing_every: 20,
-        incremental_timing: false,
-        ..FlowConfig::default()
-    };
-    let r = run_flow(&d, &lib, FlowMode::differentiable(), &cfg).expect("flow runs");
-    assert!(r.wns.is_finite() && r.tns.is_finite());
-    assert!(r.hpwl > 0.0);
+    let full = run_flow(&d, &lib, FlowMode::path_extraction(), &config(0.0))
+        .expect("flow runs");
+    let mut obs = Observer::new(true);
+    let inc = run_flow_observed(&d, &lib, FlowMode::path_extraction(), &config(2.0), &mut obs)
+        .expect("flow runs");
+    assert!(
+        obs.registry().get(Counter::StaIncremental) > 0,
+        "the incremental run never took the incremental path"
+    );
+    assert_same_trajectory(&full, &inc);
 }

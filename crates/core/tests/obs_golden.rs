@@ -184,7 +184,7 @@ fn cli_log_level_warn_leaves_stdout_machine_clean() {
             "place",
             prefix.to_str().unwrap(),
             "--mode",
-            "wl",
+            "wirelength",
             "--max-iters",
             "40",
             "--log-level",
@@ -218,7 +218,7 @@ fn cli_profile_metrics_and_trace_outputs() {
             "place",
             prefix.to_str().unwrap(),
             "--mode",
-            "diff",
+            "differentiable",
             "--max-iters",
             "120",
             "--profile",
@@ -252,4 +252,18 @@ fn cli_profile_metrics_and_trace_outputs() {
         json::parse(line).unwrap_or_else(|e| panic!("trace line unparseable ({e}): {line}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_rejects_retired_mode_alias() {
+    // The short mode names are not accepted: parsing fails before any
+    // design is loaded, with exit status 1 and an error naming the mode.
+    let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
+        .args(["place", "sb1", "--mode", "wl"])
+        .output()
+        .expect("dtp runs");
+    assert_eq!(out.status.code(), Some(1), "`--mode wl` must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown mode"), "unexpected stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no result line expected");
 }

@@ -10,8 +10,7 @@
 //!   stamping, spectral Poisson solve (DCT basis, in-house transforms),
 //!   per-cell field gradients, and the density-overflow stop metric.
 //! - [`NesterovOptimizer`]: Nesterov accelerated gradient with
-//!   Barzilai–Borwein step sizing and per-cell preconditioning, plus a plain
-//!   [`AdamOptimizer`] alternative.
+//!   Barzilai–Borwein step sizing and per-cell preconditioning.
 //! - [`Legalizer`]: Tetris-style row legalization; [`detail`]: greedy
 //!   swap-based detailed placement.
 //!
@@ -34,6 +33,6 @@ mod wirelength;
 pub use abacus::AbacusLegalizer;
 pub use density::{DensityModel, DensityResult, DensityScratch};
 pub use legalize::{check_legal, Legalizer};
-pub use optimizer::{AdamOptimizer, NesterovOptimizer};
+pub use optimizer::NesterovOptimizer;
 pub use spectral::{PoissonScratch, PoissonSolution, Spectral2D};
 pub use wirelength::{WirelengthModel, WirelengthScratch};
