@@ -578,8 +578,8 @@ impl GpStep {
 /// Which analysis a timing mechanism consumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum AnalysisKind {
-    /// LSE-smoothed at the timer's γ. The gradients never read RATs, so the
-    /// incremental path skips the backward sweep.
+    /// LSE-smoothed at the timer's γ and forward-only: the gradients never
+    /// read RATs, so no RAT sweep runs on either path.
     Smoothed,
     /// Exact, with RATs: the net weighter reads per-pin slacks, so the
     /// incremental path recomputes the RAT sweep too.
@@ -725,7 +725,9 @@ impl TimingDriver {
                 }
                 let s = &mut self.scratch;
                 match kind {
-                    AnalysisKind::Smoothed => self.timer.analyze_smoothed_into(nl, forest, s),
+                    AnalysisKind::Smoothed => {
+                        self.timer.analyze_smoothed_no_rat_into(nl, forest, s)
+                    }
                     AnalysisKind::WithRat => self.timer.analyze_into(nl, forest, s),
                     AnalysisKind::NoRat => self.timer.analyze_no_rat_into(nl, forest, s),
                 }

@@ -33,12 +33,22 @@ fn check_axis(axis: &[f64], what: &str) -> Result<(), LibertyError> {
     if axis.is_empty() {
         return Err(LibertyError::BadTable(format!("{what} axis is empty")));
     }
+    if let Some(a) = axis.iter().find(|a| !a.is_finite()) {
+        return Err(LibertyError::BadTable(format!("{what} axis has a non-finite entry `{a}`")));
+    }
     if axis.windows(2).any(|w| w[1] <= w[0]) {
         return Err(LibertyError::BadTable(format!(
             "{what} axis is not strictly increasing"
         )));
     }
     Ok(())
+}
+
+fn check_values(values: &[f64]) -> Result<(), LibertyError> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(LibertyError::BadTable(format!("value {i} is not finite: `{}`", values[i]))),
+        None => Ok(()),
+    }
 }
 
 /// A one-dimensional look-up table with linear interpolation/extrapolation.
@@ -56,8 +66,9 @@ impl Lut1 {
     ///
     /// # Errors
     ///
-    /// Returns [`LibertyError::BadTable`] if the axis is empty or not strictly
-    /// increasing, or if `values.len() != axis.len()`.
+    /// Returns [`LibertyError::BadTable`] if the axis is empty, not strictly
+    /// increasing or not finite, if `values.len() != axis.len()`, or if a
+    /// value is not finite.
     pub fn new(x: Vec<f64>, v: Vec<f64>) -> Result<Self, LibertyError> {
         check_axis(&x, "index_1")?;
         if v.len() != x.len() {
@@ -67,6 +78,7 @@ impl Lut1 {
                 v.len()
             )));
         }
+        check_values(&v)?;
         Ok(Lut1 { x, v })
     }
 
@@ -134,7 +146,8 @@ impl Lut2 {
     ///
     /// # Errors
     ///
-    /// Returns [`LibertyError::BadTable`] on inconsistent axes or sizes.
+    /// Returns [`LibertyError::BadTable`] on inconsistent axes or sizes, and
+    /// on any non-finite axis entry or value.
     pub fn new(x: Vec<f64>, y: Vec<f64>, v: Vec<f64>) -> Result<Self, LibertyError> {
         check_axis(&x, "index_1")?;
         check_axis(&y, "index_2")?;
@@ -147,6 +160,7 @@ impl Lut2 {
                 v.len()
             )));
         }
+        check_values(&v)?;
         Ok(Lut2 { x, y, v })
     }
 
@@ -160,7 +174,8 @@ impl Lut2 {
     ///
     /// # Errors
     ///
-    /// Returns [`LibertyError::BadTable`] on inconsistent axes.
+    /// Returns [`LibertyError::BadTable`] on inconsistent or non-finite axes,
+    /// and if `f` returns a non-finite value.
     pub fn tabulate(
         x: Vec<f64>,
         y: Vec<f64>,
@@ -174,6 +189,7 @@ impl Lut2 {
                 v.push(f(xi, yj));
             }
         }
+        check_values(&v)?;
         Ok(Lut2 { x, y, v })
     }
 
@@ -254,6 +270,22 @@ mod tests {
             |x, y| 2.0 * x + 3.0 * y,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn non_finite_axes_and_values_are_rejected() {
+        fn bad<T>(r: Result<T, LibertyError>) -> bool {
+            matches!(r, Err(LibertyError::BadTable(_)))
+        }
+        for a in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(bad(Lut1::new(vec![a, 1.0, 2.0], vec![1.0; 3])));
+            assert!(bad(Lut1::new(vec![0.0, 1.0], vec![1.0, a])));
+            assert!(bad(Lut2::new(vec![a, 1.0], vec![0.0, 1.0], vec![1.0; 4])));
+            assert!(bad(Lut2::new(vec![0.0, 1.0], vec![0.0, a], vec![1.0; 4])));
+            assert!(bad(Lut2::new(vec![0.0, 1.0], vec![0.0, 1.0], vec![1.0, 2.0, a, 4.0])));
+            assert!(bad(Lut2::tabulate(vec![0.0, a], vec![0.0, 1.0], |x, y| x + y)));
+            assert!(bad(Lut2::tabulate(vec![0.0, 1.0], vec![0.0, 1.0], |x, _| x * a)));
+        }
     }
 
     #[test]

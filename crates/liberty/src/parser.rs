@@ -356,7 +356,8 @@ fn extract_lut2(g: &Group) -> Result<Lut2, LibertyError> {
         LibertyError::BadTable(format!("table `{}` has no values", g.name))
     })?)?;
     if x.is_empty() && y.is_empty() && v.len() == 1 {
-        return Ok(Lut2::constant(v[0]));
+        // The constant table, validated like every other.
+        return Lut2::new(vec![0.0], vec![0.0], v);
     }
     Lut2::new(x, y, v)
 }
@@ -367,7 +368,8 @@ fn extract_lut1(g: &Group) -> Result<Lut1, LibertyError> {
         LibertyError::BadTable(format!("table `{}` has no values", g.name))
     })?)?;
     if x.is_empty() && v.len() == 1 {
-        return Ok(Lut1::constant(v[0]));
+        // The constant table, validated like every other.
+        return Lut1::new(vec![0.0], v);
     }
     Lut1::new(x, v)
 }
@@ -577,5 +579,26 @@ mod tests {
             "library (x) { cell (C) { pin (Y) { direction : output; timing () { related_pin : \"A\"; cell_rise (t) { index_1 (\"1, 2\"); index_2 (\"1\"); values (\"1\"); } } } } }",
         );
         assert!(matches!(r, Err(LibertyError::BadTable(_))));
+    }
+
+    #[test]
+    fn non_finite_table_numbers_are_rejected() {
+        // `f64::from_str` accepts these spellings, so the table constructors
+        // must reject them; a NaN axis would otherwise panic at its first
+        // lookup.
+        for (i1, values) in [
+            ("nan, 1, 2", "1, 2, 3"),
+            ("0, inf, 2", "1, 2, 3"),
+            ("0, 1, 2", "1, NaN, 3"),
+            ("", "-infinity"),
+        ] {
+            let index_1 =
+                if i1.is_empty() { String::new() } else { format!("index_1 (\"{i1}\"); ") };
+            let text = format!(
+                "library (x) {{ cell (C) {{ pin (Y) {{ direction : output; timing () {{ related_pin : \"A\"; cell_rise (t) {{ {index_1}values (\"{values}\"); }} }} }} }} }}"
+            );
+            let r = parse(&text);
+            assert!(matches!(r, Err(LibertyError::BadTable(_))), "{i1:?} / {values:?}: {r:?}");
+        }
     }
 }

@@ -7,6 +7,11 @@
 //! `Res = r·len(edge)` and `Cap = pin_cap + (c/2)·Σ len(adjacent edges)` down
 //! to node positions.
 //!
+//! Both passes are written once, over per-node slices ([`Elmore`] is generic
+//! over its storage). The timer runs them over one flat arena per analysis
+//! (every net's nodes side by side, one array per quantity); [`ElmoreNet`]
+//! is the owning single-net form for one-off use.
+//!
 //! Note on Eq. (8) of the paper: equations (8c) and (8f) as printed contain
 //! two apparent typos (`+2·Delay·∇Impulse²` should carry a minus sign because
 //! `Impulse² = 2·Beta − Delay²`, and `Beta(u)·∇LDelay(u)` in (8f) should be
@@ -14,32 +19,43 @@
 //! This implementation uses the mathematically consistent forms and validates
 //! them against finite differences in the test suite.
 
-use dtp_rsmt::SteinerTree;
+use dtp_netlist::NetId;
+use dtp_rsmt::{SteinerForest, SteinerTree};
+use rayon::prelude::*;
 
-/// Per-net Elmore state: the forward quantities of Eq. (7), indexed by tree
-/// node (pins first, Steiner points after).
-#[derive(Clone, Debug)]
-pub struct ElmoreNet {
+/// Elmore state of one net: the forward quantities of Eq. (7), indexed by
+/// tree node (pins first, Steiner points after). `S` is the per-quantity
+/// storage: owned vectors ([`ElmoreNet`]), borrowed slices of an analysis'
+/// arena ([`ElmoreView`]), or mutable slices while the forward pass fills it.
+#[derive(Clone, Debug, Default)]
+pub struct Elmore<S> {
     /// Node capacitance: pin cap + half the wire cap of adjacent edges (fF).
-    cap: Vec<f64>,
+    cap: S,
     /// Resistance of the edge from the node to its parent (kΩ); 0 at root.
-    res: Vec<f64>,
+    res: S,
     /// Downstream capacitance (Eq. 7a).
-    load: Vec<f64>,
+    load: S,
     /// Elmore delay from the driver (Eq. 7b), ps.
-    delay: Vec<f64>,
+    delay: S,
     /// Load-weighted delay (Eq. 7c).
-    ldelay: Vec<f64>,
+    ldelay: S,
     /// Second moment accumulator (Eq. 7d).
-    beta: Vec<f64>,
+    beta: S,
     /// Raw `2·Beta − Delay²` before clamping (ps²); negative values are
-    /// clamped to 0 in [`ElmoreNet::impulse_at`] with a dead gradient.
-    impulse_sq_raw: Vec<f64>,
+    /// clamped to 0 in [`Elmore::impulse_at`] with a dead gradient.
+    impulse_sq_raw: S,
     /// Wire resistance per micron used by the forward pass.
     r_per_um: f64,
     /// Wire capacitance per micron used by the forward pass.
     c_per_um: f64,
 }
+
+/// One net's Elmore state with owned storage.
+pub type ElmoreNet = Elmore<Vec<f64>>;
+
+/// One net's Elmore state borrowed from an analysis (see
+/// [`crate::Analysis::elmore`]).
+pub type ElmoreView<'a> = Elmore<&'a [f64]>;
 
 /// Gradient seeds flowing into a net's Elmore backward pass.
 #[derive(Clone, Debug)]
@@ -49,7 +65,7 @@ pub struct ElmoreSeeds {
     /// ∂f/∂Impulse²(node), nonzero at sink pin nodes (from Eq. 10d).
     pub grad_impulse_sq: Vec<f64>,
     /// ∂f/∂Beta(node) — direct second-moment sensitivity, used by delay
-    /// metrics beyond Elmore (e.g. [`ElmoreNet::delay_d2m_at`]).
+    /// metrics beyond Elmore (e.g. [`Elmore::delay_d2m_at`]).
     pub grad_beta: Vec<f64>,
     /// ∂f/∂Load(root) — the driving-cell arcs' load sensitivity (Eq. 12e).
     pub grad_root_load: f64,
@@ -66,16 +82,34 @@ impl ElmoreSeeds {
         }
     }
 
-    /// Re-zeros the seeds in place, resizing to `n` nodes if the tree
-    /// topology changed — lets gradient sweeps reuse one seed buffer per net
-    /// across iterations instead of reallocating.
-    pub fn reset(&mut self, n: usize) {
-        for buf in [&mut self.grad_delay, &mut self.grad_impulse_sq, &mut self.grad_beta] {
-            buf.clear();
-            buf.resize(n, 0.0);
+    fn as_slices(&self) -> SeedSlices<'_> {
+        SeedSlices {
+            delay: &self.grad_delay,
+            impulse_sq: &self.grad_impulse_sq,
+            beta: &self.grad_beta,
+            root_load: self.grad_root_load,
         }
-        self.grad_root_load = 0.0;
     }
+}
+
+/// Borrowed backward seeds of one net (the fields of [`ElmoreSeeds`]).
+#[derive(Clone, Copy)]
+struct SeedSlices<'a> {
+    delay: &'a [f64],
+    impulse_sq: &'a [f64],
+    beta: &'a [f64],
+    root_load: f64,
+}
+
+/// Per-node adjoint buffers of one net's backward pass; `x`/`y` receive
+/// ∂f/∂(node position).
+struct Adjoints<'a> {
+    beta: &'a mut [f64],
+    ldelay: &'a mut [f64],
+    delay: &'a mut [f64],
+    load: &'a mut [f64],
+    x: &'a mut [f64],
+    y: &'a mut [f64],
 }
 
 impl ElmoreNet {
@@ -89,15 +123,42 @@ impl ElmoreNet {
     ///
     /// Panics if `pin_caps.len() != tree.num_pins()`.
     pub fn forward(tree: &SteinerTree, pin_caps: &[f64], r: f64, c: f64) -> ElmoreNet {
-        assert_eq!(pin_caps.len(), tree.num_pins());
         let n = tree.num_nodes();
+        let mut e = Elmore {
+            cap: vec![0.0; n],
+            res: vec![0.0; n],
+            load: vec![0.0; n],
+            delay: vec![0.0; n],
+            ldelay: vec![0.0; n],
+            beta: vec![0.0; n],
+            impulse_sq_raw: vec![0.0; n],
+            r_per_um: r,
+            c_per_um: c,
+        };
+        e.compute(tree, pin_caps);
+        e
+    }
+}
+
+impl<S: AsMut<[f64]>> Elmore<S> {
+    /// The forward kernel: overwrites every node quantity from `tree`.
+    fn compute(&mut self, tree: &SteinerTree, pin_caps: &[f64]) {
+        assert_eq!(pin_caps.len(), tree.num_pins());
+        let (r, c) = (self.r_per_um, self.c_per_um);
+        let cap = self.cap.as_mut();
+        let res = self.res.as_mut();
+        let load = self.load.as_mut();
+        let delay = self.delay.as_mut();
+        let ldelay = self.ldelay.as_mut();
+        let beta = self.beta.as_mut();
+        let impulse_sq_raw = self.impulse_sq_raw.as_mut();
+        let n = tree.num_nodes();
+        assert_eq!(cap.len(), n, "storage sized for a different tree");
         let order = tree.preorder();
 
-        let mut cap = vec![0.0; n];
-        let mut res = vec![0.0; n];
-        for (i, &pc) in pin_caps.iter().enumerate().skip(1) {
-            cap[i] = pc;
-        }
+        cap.fill(0.0);
+        res.fill(0.0);
+        cap[1..pin_caps.len()].copy_from_slice(&pin_caps[1..]);
         for i in 0..n {
             if let Some(p) = tree.parent_of(i) {
                 let len = tree.edge_length(i);
@@ -109,7 +170,7 @@ impl ElmoreNet {
         }
 
         // Pass 1 (bottom-up): Load.
-        let mut load = cap.clone();
+        load.copy_from_slice(cap);
         for &u in order.iter().rev() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -117,7 +178,7 @@ impl ElmoreNet {
             }
         }
         // Pass 2 (top-down): Delay.
-        let mut delay = vec![0.0; n];
+        delay.fill(0.0);
         for &u in order.iter() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -125,7 +186,9 @@ impl ElmoreNet {
             }
         }
         // Pass 3 (bottom-up): LDelay.
-        let mut ldelay: Vec<f64> = (0..n).map(|i| cap[i] * delay[i]).collect();
+        for ((ld, &cp), &d) in ldelay.iter_mut().zip(&*cap).zip(&*delay) {
+            *ld = cp * d;
+        }
         for &u in order.iter().rev() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -133,63 +196,61 @@ impl ElmoreNet {
             }
         }
         // Pass 4 (top-down): Beta.
-        let mut beta = vec![0.0; n];
+        beta.fill(0.0);
         for &u in order.iter() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
                 beta[u] = beta[p] + res[u] * ldelay[u];
             }
         }
-        let impulse_sq_raw = (0..n).map(|i| 2.0 * beta[i] - delay[i] * delay[i]).collect();
-
-        ElmoreNet {
-            cap,
-            res,
-            load,
-            delay,
-            ldelay,
-            beta,
-            impulse_sq_raw,
-            r_per_um: r,
-            c_per_um: c,
+        for ((imp, &b), &d) in impulse_sq_raw.iter_mut().zip(&*beta).zip(&*delay) {
+            *imp = 2.0 * b - d * d;
         }
+    }
+}
+
+impl<S: AsRef<[f64]>> Elmore<S> {
+    /// Number of tree nodes.
+    #[inline]
+    pub fn num_nodes(&self) -> usize {
+        self.delay.as_ref().len()
     }
 
     /// Elmore delay from the driver to `node`, ps (Eq. 7b).
     #[inline]
     pub fn delay_at(&self, node: usize) -> f64 {
-        self.delay[node]
+        self.delay.as_ref()[node]
     }
 
     /// Impulse (slew component) at `node`, ps (Eq. 7e), clamped at 0.
     #[inline]
     pub fn impulse_at(&self, node: usize) -> f64 {
-        self.impulse_sq_raw[node].max(0.0).sqrt()
+        self.impulse_sq_at(node).sqrt()
     }
 
     /// Squared impulse at `node` (clamped at 0).
     #[inline]
     pub fn impulse_sq_at(&self, node: usize) -> f64 {
-        self.impulse_sq_raw[node].max(0.0)
+        self.impulse_sq_raw.as_ref()[node].max(0.0)
     }
 
     /// Total capacitive load seen by the driver (Eq. 7a at the root).
     #[inline]
     pub fn root_load(&self) -> f64 {
-        self.load[0]
+        self.load.as_ref()[0]
     }
 
     /// Downstream capacitance at `node` (Eq. 7a).
     #[inline]
     pub fn load_at(&self, node: usize) -> f64 {
-        self.load[node]
+        self.load.as_ref()[node]
     }
 
     /// Second-moment accumulator at `node` (Eq. 7d) — exposed for tests and
     /// diagnostics of the slew model.
     #[inline]
     pub fn beta_at(&self, node: usize) -> f64 {
-        self.beta[node]
+        self.beta.as_ref()[node]
     }
 
     /// D2M ("delay with two moments") wire delay at `node`:
@@ -200,8 +261,8 @@ impl ElmoreNet {
     /// degenerates (near-zero wire).
     #[inline]
     pub fn delay_d2m_at(&self, node: usize) -> f64 {
-        let m1 = self.delay[node];
-        let m2 = 2.0 * self.beta[node];
+        let m1 = self.delay_at(node);
+        let m2 = 2.0 * self.beta_at(node);
         if m2 > 1e-12 {
             std::f64::consts::LN_2 * m1 * m1 / m2.sqrt()
         } else {
@@ -209,12 +270,12 @@ impl ElmoreNet {
         }
     }
 
-    /// Partial derivatives of [`ElmoreNet::delay_d2m_at`] with respect to
+    /// Partial derivatives of [`Elmore::delay_d2m_at`] with respect to
     /// `(Delay, Beta)` at `node`, for seeding the backward pass.
     #[inline]
     pub fn d2m_partials(&self, node: usize) -> (f64, f64) {
-        let m1 = self.delay[node];
-        let m2 = 2.0 * self.beta[node];
+        let m1 = self.delay_at(node);
+        let m2 = 2.0 * self.beta_at(node);
         if m2 > 1e-12 {
             let d_dm1 = 2.0 * std::f64::consts::LN_2 * m1 / m2.sqrt();
             // ∂/∂Beta = ∂/∂m2 · 2 = −ln2·m1²·m2^(−3/2)
@@ -236,20 +297,34 @@ impl ElmoreNet {
     ///
     /// Panics if the seed vectors are not `tree.num_nodes()` long.
     pub fn backward(&self, tree: &SteinerTree, seeds: &ElmoreSeeds) -> (Vec<f64>, Vec<f64>) {
+        let mut adj = [(); 6].map(|_| vec![0.0; tree.num_nodes()]);
+        let [beta, ldelay, delay, load, x, y] = &mut adj;
+        self.backward_into(tree, seeds.as_slices(), Adjoints { beta, ldelay, delay, load, x, y });
+        let [_, _, _, _, x, y] = adj;
+        (x, y)
+    }
+
+    /// The backward kernel: overwrites every adjoint in `adj`.
+    fn backward_into(&self, tree: &SteinerTree, seeds: SeedSlices<'_>, adj: Adjoints<'_>) {
         let n = tree.num_nodes();
-        assert_eq!(seeds.grad_delay.len(), n);
-        assert_eq!(seeds.grad_impulse_sq.len(), n);
+        assert_eq!(self.num_nodes(), n, "Elmore state of a different tree");
+        assert_eq!(seeds.delay.len(), n);
+        assert_eq!(seeds.impulse_sq.len(), n);
+        let (cap, res, load) = (self.cap.as_ref(), self.res.as_ref(), self.load.as_ref());
+        let (delay, ldelay) = (self.delay.as_ref(), self.ldelay.as_ref());
+        let impulse_sq_raw = self.impulse_sq_raw.as_ref();
+        let Adjoints { beta: g_beta, ldelay: g_ldelay, delay: g_delay, load: g_load, x, y } = adj;
         let order = tree.preorder();
 
         // Impulse clamping: a node whose raw impulse² went negative has a
         // dead gradient through the impulse path.
-        let g_imp: Vec<f64> = (0..n)
-            .map(|i| if self.impulse_sq_raw[i] > 0.0 { seeds.grad_impulse_sq[i] } else { 0.0 })
-            .collect();
+        let g_imp = |i: usize| if impulse_sq_raw[i] > 0.0 { seeds.impulse_sq[i] } else { 0.0 };
 
         // Reverse pass 1 (bottom-up): ∇Beta (Eq. 8a), plus any direct Beta
         // seeds from non-Elmore delay metrics.
-        let mut g_beta: Vec<f64> = (0..n).map(|i| 2.0 * g_imp[i] + seeds.grad_beta[i]).collect();
+        for (i, g) in g_beta.iter_mut().enumerate() {
+            *g = 2.0 * g_imp(i) + seeds.beta[i];
+        }
         for &u in order.iter().rev() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -258,7 +333,9 @@ impl ElmoreNet {
         }
         // Reverse pass 2 (top-down): ∇LDelay (Eq. 8b). The root's Res is 0,
         // so its adjoint is 0 without special-casing.
-        let mut g_ldelay: Vec<f64> = (0..n).map(|i| self.res[i] * g_beta[i]).collect();
+        for ((g, &r), &gb) in g_ldelay.iter_mut().zip(res).zip(&*g_beta) {
+            *g = r * gb;
+        }
         for &u in order.iter() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -268,11 +345,9 @@ impl ElmoreNet {
 
         // Reverse pass 3 (bottom-up): ∇Delay (Eq. 8c with the corrected
         // −2·Delay sign; see module docs).
-        let mut g_delay: Vec<f64> = (0..n)
-            .map(|i| {
-                seeds.grad_delay[i] - 2.0 * self.delay[i] * g_imp[i] + self.cap[i] * g_ldelay[i]
-            })
-            .collect();
+        for (i, g) in g_delay.iter_mut().enumerate() {
+            *g = seeds.delay[i] - 2.0 * delay[i] * g_imp(i) + cap[i] * g_ldelay[i];
+        }
         for &u in order.iter().rev() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
@@ -281,40 +356,274 @@ impl ElmoreNet {
         }
         // Reverse pass 4 (top-down): ∇Load (Eq. 8d) with the root seed from
         // the driving cell's arcs.
-        let mut g_load = vec![0.0; n];
-        g_load[0] = seeds.grad_root_load;
+        g_load.fill(0.0);
+        g_load[0] = seeds.root_load;
         for &u in order.iter() {
             let u = u as usize;
             if let Some(p) = tree.parent_of(u) {
-                g_load[u] = self.res[u] * g_delay[u] + g_load[p];
+                g_load[u] = res[u] * g_delay[u] + g_load[p];
             }
         }
 
-        // Local adjoints: ∇Cap (Eq. 8e) and ∇Res (Eq. 8f corrected).
-        let g_cap: Vec<f64> = (0..n).map(|i| g_load[i] + self.delay[i] * g_ldelay[i]).collect();
-        let g_res: Vec<f64> = (0..n)
-            .map(|i| self.load[i] * g_delay[i] + self.ldelay[i] * g_beta[i])
-            .collect();
-
-        // Chain to edge lengths and node positions. The wire parameters are
+        // Local adjoints ∇Cap (Eq. 8e) and ∇Res (Eq. 8f corrected), chained
+        // to edge lengths and node positions. The wire parameters are
         // recoverable from the stored res/cap arrays only jointly, so we
         // recompute lengths from the tree geometry.
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
+        let g_cap = |i: usize| g_load[i] + delay[i] * g_ldelay[i];
+        x.fill(0.0);
+        y.fill(0.0);
         for u in 0..n {
             let Some(p) = tree.parent_of(u) else { continue };
-            let g_len = self.r_per_um * g_res[u]
-                + 0.5 * self.c_per_um * (g_cap[u] + g_cap[p]);
+            let g_res = load[u] * g_delay[u] + ldelay[u] * g_beta[u];
+            let g_len = self.r_per_um * g_res + 0.5 * self.c_per_um * (g_cap(u) + g_cap(p));
             let a = tree.node_pos(u);
             let b = tree.node_pos(p);
             let sx = (a.x - b.x).signum_or_zero();
             let sy = (a.y - b.y).signum_or_zero();
-            gx[u] += sx * g_len;
-            gx[p] -= sx * g_len;
-            gy[u] += sy * g_len;
-            gy[p] -= sy * g_len;
+            x[u] += sx * g_len;
+            x[p] -= sx * g_len;
+            y[u] += sy * g_len;
+            y[p] -= sy * g_len;
         }
-        (gx, gy)
+    }
+}
+
+/// The Elmore state of every net of one analysis, structure-of-arrays: one
+/// array per quantity, net `i`'s nodes at `offsets[i]..offsets[i + 1]`
+/// (empty for clock nets, which have no tree). The offsets are re-derived
+/// from the forest on every fill, so a topology rebuild that changes a net's
+/// node count only shifts the ranges after it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ElmoreArena {
+    offsets: Vec<u32>,
+    planes: Elmore<Vec<f64>>,
+}
+
+impl ElmoreArena {
+    /// Number of net slots.
+    pub(crate) fn num_nets(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Index of net `ni`'s node 0 in the flat arrays.
+    #[inline]
+    pub(crate) fn base(&self, ni: usize) -> usize {
+        self.offsets[ni] as usize
+    }
+
+    /// Net `ni`'s Elmore state, `None` for clock nets.
+    #[inline]
+    pub(crate) fn net(&self, ni: usize) -> Option<ElmoreView<'_>> {
+        let (lo, hi) = (self.offsets[ni] as usize, self.offsets[ni + 1] as usize);
+        let p = &self.planes;
+        (lo < hi).then(|| Elmore {
+            cap: &p.cap[lo..hi],
+            res: &p.res[lo..hi],
+            load: &p.load[lo..hi],
+            delay: &p.delay[lo..hi],
+            ldelay: &p.ldelay[lo..hi],
+            beta: &p.beta[lo..hi],
+            impulse_sq_raw: &p.impulse_sq_raw[lo..hi],
+            r_per_um: p.r_per_um,
+            c_per_um: p.c_per_um,
+        })
+    }
+
+    /// Runs the forward pass of every net of `forest` into the arena, in
+    /// parallel over nets. `net_caps(i)` are net `i`'s pin capacitances.
+    /// With `reuse = Some((prev, dirty))`, every net not flagged in `dirty`
+    /// whose node count is unchanged copies its range from `prev` instead.
+    pub(crate) fn fill<'c>(
+        &mut self,
+        forest: &SteinerForest,
+        r: f64,
+        c: f64,
+        net_caps: impl Fn(usize) -> &'c [f64] + Sync,
+        reuse: Option<(&ElmoreArena, &[bool])>,
+    ) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut total = 0usize;
+        for ni in 0..forest.len() {
+            total += forest.tree(NetId::new(ni)).map_or(0, SteinerTree::num_nodes);
+            self.offsets.push(u32::try_from(total).expect("fewer than 2^32 tree nodes"));
+        }
+        let ElmoreArena { offsets, planes } = self;
+        planes.r_per_um = r;
+        planes.c_per_um = c;
+        let Elmore { cap, res, load, delay, ldelay, beta, impulse_sq_raw, .. } = planes;
+        for v in [
+            &mut *cap,
+            &mut *res,
+            &mut *load,
+            &mut *delay,
+            &mut *ldelay,
+            &mut *beta,
+            &mut *impulse_sq_raw,
+        ] {
+            v.resize(total, 0.0);
+        }
+        let b: &[u32] = offsets;
+        cap.par_chunks_mut_at(b)
+            .zip(res.par_chunks_mut_at(b))
+            .zip(load.par_chunks_mut_at(b))
+            .zip(delay.par_chunks_mut_at(b))
+            .zip(ldelay.par_chunks_mut_at(b))
+            .zip(beta.par_chunks_mut_at(b))
+            .zip(impulse_sq_raw.par_chunks_mut_at(b))
+            .enumerate()
+            .for_each(|(ni, ((((((cap, res), load), delay), ldelay), beta), impulse_sq_raw))| {
+                let Some(tree) = forest.tree(NetId::new(ni)) else { return };
+                let mut out = Elmore {
+                    cap,
+                    res,
+                    load,
+                    delay,
+                    ldelay,
+                    beta,
+                    impulse_sq_raw,
+                    r_per_um: r,
+                    c_per_um: c,
+                };
+                let kept = reuse
+                    .filter(|(_, dirty)| !dirty[ni])
+                    .and_then(|(prev, _)| prev.net(ni))
+                    .filter(|p| p.num_nodes() == tree.num_nodes());
+                match kept {
+                    Some(p) => out.copy_from(&p),
+                    None => out.compute(tree, net_caps(ni)),
+                }
+            });
+    }
+}
+
+impl Elmore<&mut [f64]> {
+    fn copy_from(&mut self, src: &ElmoreView<'_>) {
+        self.cap.copy_from_slice(src.cap);
+        self.res.copy_from_slice(src.res);
+        self.load.copy_from_slice(src.load);
+        self.delay.copy_from_slice(src.delay);
+        self.ldelay.copy_from_slice(src.ldelay);
+        self.beta.copy_from_slice(src.beta);
+        self.impulse_sq_raw.copy_from_slice(src.impulse_sq_raw);
+    }
+}
+
+/// Flat backward state of every net, laid out like an [`ElmoreArena`]: the
+/// seeds the reverse level sweep accumulates, the node adjoints, and each
+/// net's position gradient. Lives in the analysis scratch, so a gradient
+/// call allocates nothing once it has seen the design's node count.
+#[derive(Debug, Default)]
+pub(crate) struct ElmoreGrads {
+    /// ∂f/∂Delay per node.
+    pub(crate) grad_delay: Vec<f64>,
+    /// ∂f/∂Impulse² per node.
+    pub(crate) grad_impulse_sq: Vec<f64>,
+    /// ∂f/∂Beta per node.
+    pub(crate) grad_beta: Vec<f64>,
+    /// ∂f/∂Load(root) per net.
+    pub(crate) grad_root_load: Vec<f64>,
+    adj_beta: Vec<f64>,
+    adj_ldelay: Vec<f64>,
+    adj_delay: Vec<f64>,
+    adj_load: Vec<f64>,
+    /// ∂f/∂x per node; after [`ElmoreGrads::backward`], per pin in each
+    /// net's first `num_pins` slots.
+    adj_x: Vec<f64>,
+    /// ∂f/∂y per node, folded like `adj_x`.
+    adj_y: Vec<f64>,
+    /// Whether a net had a nonzero seed (and so ran its backward pass).
+    active: Vec<bool>,
+}
+
+impl ElmoreGrads {
+    /// Zeros the seeds and sizes every buffer for `arena`'s layout (the
+    /// backward kernel overwrites the adjoints of every net it runs).
+    pub(crate) fn reset(&mut self, arena: &ElmoreArena) {
+        let nodes = arena.planes.delay.len();
+        for v in [&mut self.grad_delay, &mut self.grad_impulse_sq, &mut self.grad_beta] {
+            v.clear();
+            v.resize(nodes, 0.0);
+        }
+        for v in [
+            &mut self.adj_beta,
+            &mut self.adj_ldelay,
+            &mut self.adj_delay,
+            &mut self.adj_load,
+            &mut self.adj_x,
+            &mut self.adj_y,
+        ] {
+            v.resize(nodes, 0.0);
+        }
+        self.grad_root_load.clear();
+        self.grad_root_load.resize(arena.num_nets(), 0.0);
+        self.active.clear();
+        self.active.resize(arena.num_nets(), false);
+    }
+
+    /// Runs the Elmore backward pass (Eq. 8) of every net with a nonzero
+    /// seed, in parallel over nets, then folds each net's Steiner-point
+    /// gradients onto its pins (Fig. 4, as [`SteinerTree::scatter_gradient`]
+    /// does).
+    pub(crate) fn backward(&mut self, arena: &ElmoreArena, forest: &SteinerForest) {
+        let ElmoreGrads {
+            grad_delay,
+            grad_impulse_sq,
+            grad_beta,
+            grad_root_load,
+            adj_beta,
+            adj_ldelay,
+            adj_delay,
+            adj_load,
+            adj_x,
+            adj_y,
+            active,
+        } = self;
+        let b: &[u32] = &arena.offsets;
+        adj_beta
+            .par_chunks_mut_at(b)
+            .zip(adj_ldelay.par_chunks_mut_at(b))
+            .zip(adj_delay.par_chunks_mut_at(b))
+            .zip(adj_load.par_chunks_mut_at(b))
+            .zip(adj_x.par_chunks_mut_at(b))
+            .zip(adj_y.par_chunks_mut_at(b))
+            .zip(active.par_chunks_mut(1))
+            .enumerate()
+            .for_each(|(ni, ((((((beta, ldelay), delay), load), x), y), active))| {
+                let (Some(tree), Some(e)) = (forest.tree(NetId::new(ni)), arena.net(ni)) else {
+                    return;
+                };
+                let r = b[ni] as usize..b[ni + 1] as usize;
+                let seeds = SeedSlices {
+                    delay: &grad_delay[r.clone()],
+                    impulse_sq: &grad_impulse_sq[r.clone()],
+                    beta: &grad_beta[r],
+                    root_load: grad_root_load[ni],
+                };
+                active[0] = seeds.root_load != 0.0
+                    || seeds.delay.iter().any(|&g| g != 0.0)
+                    || seeds.beta.iter().any(|&g| g != 0.0)
+                    || seeds.impulse_sq.iter().any(|&g| g != 0.0);
+                if !active[0] {
+                    return;
+                }
+                e.backward_into(tree, seeds, Adjoints { beta, ldelay, delay, load, x, y });
+                let (xs, ys) = (tree.x_sources(), tree.y_sources());
+                for i in tree.num_pins()..tree.num_nodes() {
+                    x[xs[i] as usize] += x[i];
+                    y[ys[i] as usize] += y[i];
+                }
+            });
+    }
+
+    /// Net `ni`'s folded node gradients `(∂f/∂x, ∂f/∂y)`, whose first
+    /// `num_pins` entries are per pin in net pin order; `None` if its
+    /// backward pass did not run.
+    pub(crate) fn pin_grads(&self, arena: &ElmoreArena, ni: usize) -> Option<(&[f64], &[f64])> {
+        self.active[ni].then(|| {
+            let r = arena.base(ni)..arena.offsets[ni + 1] as usize;
+            (&self.adj_x[r.clone()], &self.adj_y[r])
+        })
     }
 }
 

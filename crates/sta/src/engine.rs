@@ -15,20 +15,28 @@
 //!   [`Timer::gradients`]) allocate their result vectors fresh — convenient
 //!   for one-shot analyses and tests;
 //! - the `*_into` ones ([`Timer::analyze_into`],
+//!   [`Timer::analyze_smoothed_no_rat_into`],
 //!   [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw
 //!   every buffer from a caller-owned [`AnalysisScratch`]. Retiring an
 //!   [`Analysis`] back into the scratch with [`AnalysisScratch::recycle`]
-//!   double-buffers the pin-length vectors: after warm-up the timing hot
-//!   path performs no full-vector allocation or clone per iteration.
+//!   double-buffers its vectors: after warm-up these calls perform no heap
+//!   allocation at all.
 //!
-//! Per-pin arc aggregation uses fixed-capacity stack buffers (spilling to
-//! the heap only for cells with more than [`MAX_INLINE_ARCS`] fan-in arcs),
-//! and the levelized graph, per-class delay arcs and per-net pin
-//! capacitances are all stored CSR-flat (offsets + one data array) so the
-//! sweeps touch contiguous memory.
+//! The Elmore state of an analysis is one structure-of-arrays arena (one
+//! array per quantity, each net's tree nodes at a range derived from the
+//! forest), filled in parallel over nets; an incremental analysis copies the
+//! clean nets' ranges from the previous one and recomputes only the dirty
+//! nets. The backward pass keeps its seeds and node adjoints in flat scratch
+//! arrays with the same layout and merges the per-net results into the pin
+//! gradients serially, in net order, so the sums do not depend on the pool
+//! width. Per-pin arc aggregation uses fixed-capacity stack buffers
+//! (spilling to the heap only for cells with more than [`MAX_INLINE_ARCS`]
+//! fan-in arcs), and the levelized graph, per-class delay arcs and per-net
+//! pin capacitances are all stored CSR-flat (offsets + one data array) so
+//! the sweeps touch contiguous memory.
 
 use crate::binding::Binding;
-use crate::elmore::{ElmoreNet, ElmoreSeeds};
+use crate::elmore::{ElmoreArena, ElmoreGrads, ElmoreView};
 use crate::error::StaError;
 use crate::graph::{PinRole, TimingGraph};
 use crate::smoothing::{
@@ -164,6 +172,8 @@ pub struct Timer {
     output_margin: Vec<f64>,
     /// Capture endpoints, shared (`Arc`) with every produced [`Analysis`].
     endpoints: Arc<[PinId]>,
+    /// Register launch (`RegisterOutput`) pins in pin order.
+    launch_pins: Vec<PinId>,
 }
 
 /// The result of one timing analysis: arrival times, slews, slacks and the
@@ -185,9 +195,8 @@ pub struct Analysis {
     pub rat: Vec<f64>,
     /// γ used for max-smoothing in this analysis; 0 means exact (hard max).
     pub gamma: f64,
-    /// Per-net Elmore state, shared (`Arc`) so incremental analyses reuse
-    /// clean nets without copying.
-    elmore: Vec<Option<Arc<ElmoreNet>>>,
+    /// Per-net Elmore state, one flat arena for all nets.
+    elmore: ElmoreArena,
     endpoints: Arc<[PinId]>,
 }
 
@@ -260,8 +269,8 @@ impl Analysis {
     }
 
     /// The Elmore state of a net (None for clock nets).
-    pub fn elmore(&self, net: NetId) -> Option<&ElmoreNet> {
-        self.elmore[net.index()].as_deref()
+    pub fn elmore(&self, net: NetId) -> Option<ElmoreView<'_>> {
+        self.elmore.net(net.index())
     }
 }
 
@@ -277,8 +286,8 @@ impl Analysis {
 pub struct AnalysisScratch {
     /// Pool of retired pin-length `f64` buffers (at / slew / slack / rat …).
     pool_f64: Vec<Vec<f64>>,
-    /// Pool of retired per-net Elmore vectors.
-    pool_elmore: Vec<Vec<Option<Arc<ElmoreNet>>>>,
+    /// Pool of retired Elmore arenas.
+    pool_elmore: Vec<ElmoreArena>,
     /// Per-level sweep results (`None` for pins skipped as clean).
     level_results: Vec<Option<(usize, f64, f64, f64)>>,
     /// Per-net dirty flags for the incremental path.
@@ -287,14 +296,12 @@ pub struct AnalysisScratch {
     pin_dirty: Vec<bool>,
     /// Indices of dirty nets this iteration.
     dirty_nets: Vec<usize>,
-    /// Parallel Elmore rebuild results for dirty nets.
-    rebuilt: Vec<(usize, Option<Arc<ElmoreNet>>)>,
     /// ∂f/∂AT per pin (gradient sweep).
     g_at: Vec<f64>,
     /// ∂f/∂slew per pin (gradient sweep).
     g_slew: Vec<f64>,
-    /// Per-net Elmore gradient seeds, reused across gradient calls.
-    seeds: Vec<Option<ElmoreSeeds>>,
+    /// Elmore seeds, node adjoints and per-net position gradients.
+    elmore_grads: ElmoreGrads,
     /// Endpoint slacks (gradient objective evaluation).
     endpoint_slacks: Vec<f64>,
     /// LSE-min weights over endpoint slacks.
@@ -303,12 +310,7 @@ pub struct AnalysisScratch {
     arc_inputs: Vec<(PinId, ArcEval)>,
     /// Arc evaluations of one register launch pin.
     arc_evals: Vec<ArcEval>,
-    /// Per-net position gradients from the parallel Elmore backward pass.
-    net_grads: Vec<Option<NetGrad>>,
 }
-
-/// One net's scattered position gradient: net index + per-pin (∂x, ∂y).
-type NetGrad = (usize, Vec<(f64, f64)>);
 
 impl AnalysisScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
@@ -319,11 +321,13 @@ impl AnalysisScratch {
     /// Pre-sizes the pools and per-entity buffers for a design with
     /// `num_pins` pins and `num_nets` nets, so the warm-up allocations of the
     /// first analyses happen once at flow start instead of inside the
-    /// iteration loop. Six pin-length `f64` buffers plus one Elmore vector
+    /// iteration loop. Six pin-length `f64` buffers plus one Elmore arena
     /// cover a full [`Analysis`]; the pools hold two of each because the
     /// incremental flow keeps the previous analysis alive while building the
     /// next one. The incremental bookkeeping vectors are grown to their
-    /// steady-state lengths directly.
+    /// steady-state lengths directly. The arenas and the backward buffers
+    /// are sized by the forest's node count, which only the first analysis
+    /// and gradient call see.
     pub fn presize(&mut self, num_pins: usize, num_nets: usize) {
         while self.pool_f64.len() < 12 {
             self.pool_f64.push(Vec::new());
@@ -334,32 +338,23 @@ impl AnalysisScratch {
             }
         }
         while self.pool_elmore.len() < 2 {
-            self.pool_elmore.push(Vec::new());
-        }
-        for v in self.pool_elmore.iter_mut() {
-            if v.capacity() < num_nets {
-                v.reserve(num_nets - v.capacity());
-            }
+            self.pool_elmore.push(ElmoreArena::default());
         }
         self.level_results.reserve(num_pins.saturating_sub(self.level_results.capacity()));
         self.net_dirty.reserve(num_nets.saturating_sub(self.net_dirty.capacity()));
         self.pin_dirty.reserve(num_pins.saturating_sub(self.pin_dirty.capacity()));
         self.dirty_nets.reserve(num_nets.saturating_sub(self.dirty_nets.capacity()));
-        self.rebuilt.reserve(num_nets.saturating_sub(self.rebuilt.capacity()));
         self.g_at.reserve(num_pins.saturating_sub(self.g_at.capacity()));
         self.g_slew.reserve(num_pins.saturating_sub(self.g_slew.capacity()));
-        self.seeds.reserve(num_nets.saturating_sub(self.seeds.capacity()));
-        self.net_grads.reserve(num_nets.saturating_sub(self.net_grads.capacity()));
     }
 
     /// Retires an [`Analysis`], returning its vectors to the pool so the
     /// next `*_into` call reuses them instead of allocating.
     pub fn recycle(&mut self, analysis: Analysis) {
-        let Analysis { at, at_early, slew, slack, hold_slack, rat, mut elmore, .. } = analysis;
+        let Analysis { at, at_early, slew, slack, hold_slack, rat, elmore, .. } = analysis;
         for v in [at, at_early, slew, slack, hold_slack, rat] {
             self.pool_f64.push(v);
         }
-        elmore.clear();
         self.pool_elmore.push(elmore);
     }
 
@@ -380,11 +375,9 @@ impl AnalysisScratch {
         b
     }
 
-    /// A pooled (empty) per-net Elmore vector.
-    fn take_elmore(&mut self) -> Vec<Option<Arc<ElmoreNet>>> {
-        let mut b = self.pool_elmore.pop().unwrap_or_default();
-        b.clear();
-        b
+    /// A pooled Elmore arena (its contents are overwritten by the fill).
+    fn take_elmore(&mut self) -> ElmoreArena {
+        self.pool_elmore.pop().unwrap_or_default()
     }
 }
 
@@ -465,6 +458,8 @@ impl Timer {
         }
 
         let endpoints: Arc<[PinId]> = graph.endpoints().into();
+        let launch_pins =
+            nl.pin_ids().filter(|&p| graph.role(p) == PinRole::RegisterOutput).collect();
         Ok(Timer {
             binding,
             graph,
@@ -476,6 +471,7 @@ impl Timer {
             input_delay,
             output_margin,
             endpoints,
+            launch_pins,
         })
     }
 
@@ -505,6 +501,18 @@ impl Timer {
         let lo = self.net_cap_offsets[ni] as usize;
         let hi = self.net_cap_offsets[ni + 1] as usize;
         &self.net_pin_caps[lo..hi]
+    }
+
+    /// Stage 2 of Fig. 3: the Elmore forward pass of every net of `forest`
+    /// into `arena` (see [`ElmoreArena::fill`] for `reuse`).
+    fn fill_elmore(
+        &self,
+        forest: &SteinerForest,
+        arena: &mut ElmoreArena,
+        reuse: Option<(&ElmoreArena, &[bool])>,
+    ) {
+        let (r, c) = (self.binding.wire_res_per_um, self.binding.wire_cap_per_um);
+        arena.fill(forest, r, c, |ni| self.net_caps(ni), reuse);
     }
 
     /// Exact analysis: true max/min aggregation; use for reporting WNS/TNS.
@@ -544,6 +552,20 @@ impl Timer {
         self.run_forward_into(nl, forest, self.config.gamma, true, scratch)
     }
 
+    /// [`Timer::analyze_smoothed_into`] without the backward RAT sweep — the
+    /// analysis half of the differentiable timing mode. [`Timer::gradients`]
+    /// reads arrival times, slews, endpoint slacks and the Elmore state,
+    /// never RATs, so its result is identical on either analysis; every RAT
+    /// is left at `f64::INFINITY`.
+    pub fn analyze_smoothed_no_rat_into(
+        &self,
+        nl: &Netlist,
+        forest: &SteinerForest,
+        scratch: &mut AnalysisScratch,
+    ) -> Analysis {
+        self.run_forward_into(nl, forest, self.config.gamma, false, scratch)
+    }
+
     /// Exact forward analysis that *skips* the backward RAT sweep — the
     /// analysis half of the path-extraction timing mode. Endpoint slacks
     /// (and therefore WNS/TNS and path extraction, which read only arrival
@@ -579,19 +601,7 @@ impl Timer {
 
         // Elmore forward over all nets (stage 2), rayon-parallel.
         let mut elmore = scratch.take_elmore();
-        (0..forest.len())
-            .into_par_iter()
-            .map(|ni| {
-                forest.tree(NetId::new(ni)).map(|tree| {
-                    Arc::new(ElmoreNet::forward(
-                        tree,
-                        self.net_caps(ni),
-                        self.binding.wire_res_per_um,
-                        self.binding.wire_cap_per_um,
-                    ))
-                })
-            })
-            .collect_into_vec(&mut elmore);
+        self.fill_elmore(forest, &mut elmore, None);
 
         let mut at = scratch.take_filled(nl_pins, 0.0);
         let mut at_early = scratch.take_filled(nl_pins, 0.0);
@@ -600,9 +610,10 @@ impl Timer {
         // This borrow-free closure set mirrors the GPU kernels: every level is
         // a batch whose pins read only lower levels.
         for level in self.graph.levels() {
-            level
-                .par_iter()
-                .map(|&p| {
+            (0..level.len())
+                .into_par_iter()
+                .map(|k| {
+                    let p = level[k];
                     let (a, ae, s) = self.eval_pin(nl, p, &elmore, &at, &at_early, &slew, gamma);
                     Some((p.index(), a, ae, s))
                 })
@@ -679,7 +690,7 @@ impl Timer {
     fn compute_rat_into(
         &self,
         nl: &Netlist,
-        elmore: &[Option<Arc<ElmoreNet>>],
+        elmore: &ElmoreArena,
         at: &[f64],
         slew: &[f64],
         slack: &[f64],
@@ -697,7 +708,7 @@ impl Timer {
                 match self.graph.role(p) {
                     PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
                         let net = nl.pin(p).net().expect("active sinks are connected");
-                        if let Some(e) = elmore[net.index()].as_ref() {
+                        if let Some(e) = elmore.net(net.index()) {
                             let driver = nl.net(net).pins()[0];
                             let node = self.pin_node_in_net[i] as usize;
                             let d = match self.config.wire_model {
@@ -716,7 +727,7 @@ impl Timer {
                         let cb = &self.binding.classes[cell.class().index()];
                         let load = pin
                             .net()
-                            .and_then(|n| elmore[n.index()].as_ref())
+                            .and_then(|n| elmore.net(n.index()))
                             .map_or(0.0, |e| e.root_load());
                         for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
                             let from = cell.pins()[from_cp as usize];
@@ -820,28 +831,10 @@ impl Timer {
             }
         }
 
-        // 2. Elmore: share (Arc) every clean net, recompute the dirty ones in
-        //    parallel.
+        // 2. Elmore: copy every clean net's range from `prev`, recompute the
+        //    dirty ones, in parallel over nets.
         let mut elmore = scratch.take_elmore();
-        elmore.extend(prev.elmore.iter().cloned());
-        scratch
-            .dirty_nets
-            .par_iter()
-            .map(|&ni| {
-                let e = forest.tree(NetId::new(ni)).map(|tree| {
-                    Arc::new(ElmoreNet::forward(
-                        tree,
-                        self.net_caps(ni),
-                        self.binding.wire_res_per_um,
-                        self.binding.wire_cap_per_um,
-                    ))
-                });
-                (ni, e)
-            })
-            .collect_into_vec(&mut scratch.rebuilt);
-        for (ni, e) in scratch.rebuilt.drain(..) {
-            elmore[ni] = e;
-        }
+        self.fill_elmore(forest, &mut elmore, Some((&prev.elmore, &scratch.net_dirty)));
 
         // 3. Seed dirty pins: drivers (their load changed) and sinks (their
         //    net delay changed) of dirty nets.
@@ -888,9 +881,10 @@ impl Timer {
                 }
             }
             let dirty = &scratch.pin_dirty;
-            level
-                .par_iter()
-                .map(|&p| {
+            (0..level.len())
+                .into_par_iter()
+                .map(|k| {
+                    let p = level[k];
                     let i = p.index();
                     if !dirty[i] {
                         return None;
@@ -936,7 +930,7 @@ impl Timer {
         &self,
         nl: &Netlist,
         p: PinId,
-        elmore: &[Option<Arc<ElmoreNet>>],
+        elmore: &ElmoreArena,
         at: &[f64],
         at_early: &[f64],
         slew: &[f64],
@@ -955,7 +949,7 @@ impl Timer {
                 let cb = &self.binding.classes[cell.class().index()];
                 let load = pin
                     .net()
-                    .and_then(|n| elmore[n.index()].as_ref())
+                    .and_then(|n| elmore.net(n.index()))
                     .map_or(0.0, |e| e.root_load());
                 let arcs = cb.delay_arcs(pin.class_pin().index());
                 if arcs.is_empty() {
@@ -982,7 +976,7 @@ impl Timer {
             PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
                 // Net arc from the driver (Eq. 9).
                 let net = nl.pin(p).net().expect("active sink pins are connected");
-                let Some(e) = elmore[net.index()].as_ref() else {
+                let Some(e) = elmore.net(net.index()) else {
                     return (0.0, 0.0, self.config.input_slew);
                 };
                 let driver = nl.net(net).pins()[0];
@@ -1002,7 +996,7 @@ impl Timer {
                 let cb = &self.binding.classes[cell.class().index()];
                 let load = pin
                     .net()
-                    .and_then(|n| elmore[n.index()].as_ref())
+                    .and_then(|n| elmore.net(n.index()))
                     .map_or(0.0, |e| e.root_load());
                 let mut a_vals = F64Buf::<MAX_INLINE_ARCS>::new();
                 let mut ae_vals = F64Buf::<MAX_INLINE_ARCS>::new();
@@ -1081,18 +1075,17 @@ impl Timer {
         out: &mut PositionGradients,
     ) {
         let n_pins = analysis.at.len();
-        assert_eq!(forest.len(), analysis.elmore.len(), "forest/analysis mismatch");
+        assert_eq!(forest.len(), analysis.elmore.num_nets(), "forest/analysis mismatch");
         let gamma = if analysis.gamma > 0.0 { analysis.gamma } else { self.config.gamma };
 
         let AnalysisScratch {
             g_at,
             g_slew,
-            seeds,
+            elmore_grads: eg,
             endpoint_slacks,
             endpoint_weights,
             arc_inputs,
             arc_evals,
-            net_grads,
             ..
         } = scratch;
         g_at.clear();
@@ -1134,19 +1127,8 @@ impl Timer {
         }
 
         // --- reverse level sweep (Eqs. 10, 12) --------------------------------
-        if seeds.len() != forest.len() {
-            seeds.clear();
-            seeds.resize_with(forest.len(), || None);
-        }
-        for (ni, slot) in seeds.iter_mut().enumerate() {
-            match forest.tree(NetId::new(ni)) {
-                Some(t) => match slot {
-                    Some(sd) => sd.reset(t.num_nodes()),
-                    slot => *slot = Some(ElmoreSeeds::zeros(t.num_nodes())),
-                },
-                None => *slot = None,
-            }
-        }
+        let arena = &analysis.elmore;
+        eg.reset(arena);
 
         for level in self.graph.levels().rev() {
             for &p in level {
@@ -1158,9 +1140,10 @@ impl Timer {
                     PinRole::CombInput | PinRole::RegisterData | PinRole::PrimaryOutput => {
                         // Net arc backward (Eq. 10).
                         let net = nl.pin(p).net().expect("active sinks are connected");
-                        let Some(e) = analysis.elmore[net.index()].as_ref() else { continue };
+                        let Some(e) = arena.net(net.index()) else { continue };
                         let driver = nl.net(net).pins()[0];
                         let node = self.pin_node_in_net[i] as usize;
+                        let k = arena.base(net.index()) + node;
                         g_at[driver.index()] += g_at[i];
                         let s_v = analysis.slew[i];
                         let s_u = analysis.slew[driver.index()];
@@ -1170,22 +1153,28 @@ impl Timer {
                             // Degenerate slew merge: all gradient to the driver.
                             g_slew[driver.index()] += g_slew[i];
                         }
-                        let sd = seeds[net.index()].as_mut().expect("seeded with the tree");
                         match self.config.wire_model {
-                            WireModel::Elmore => sd.grad_delay[node] += g_at[i],
+                            WireModel::Elmore => eg.grad_delay[k] += g_at[i],
                             WireModel::D2m => {
                                 let (d_dm1, d_dbeta) = e.d2m_partials(node);
-                                sd.grad_delay[node] += g_at[i] * d_dm1;
-                                sd.grad_beta[node] += g_at[i] * d_dbeta;
+                                eg.grad_delay[k] += g_at[i] * d_dm1;
+                                eg.grad_beta[k] += g_at[i] * d_dbeta;
                             }
                         }
                         if s_v > 0.0 {
-                            sd.grad_impulse_sq[node] += g_slew[i] / (2.0 * s_v);
+                            eg.grad_impulse_sq[k] += g_slew[i] / (2.0 * s_v);
                         }
                     }
                     PinRole::CombOutput => {
                         self.backprop_cell_output(
-                            nl, p, analysis, gamma, g_at, g_slew, seeds, arc_inputs,
+                            nl,
+                            p,
+                            analysis,
+                            gamma,
+                            g_at,
+                            g_slew,
+                            &mut eg.grad_root_load,
+                            arc_inputs,
                         );
                     }
                     _ => {}
@@ -1194,10 +1183,7 @@ impl Timer {
         }
         // Register launch pins: AT(Q) depends on the Q net's load (Eq. 12e
         // applied to the CK→Q arc).
-        for p in nl.pin_ids() {
-            if self.graph.role(p) != PinRole::RegisterOutput {
-                continue;
-            }
+        for &p in &self.launch_pins {
             let i = p.index();
             if g_at[i] == 0.0 && g_slew[i] == 0.0 {
                 continue;
@@ -1206,7 +1192,7 @@ impl Timer {
             let cell = nl.cell(pin.cell());
             let cb = &self.binding.classes[cell.class().index()];
             let Some(net) = pin.net() else { continue };
-            let Some(e) = analysis.elmore[net.index()].as_ref() else { continue };
+            let Some(e) = arena.net(net.index()) else { continue };
             let load = e.root_load();
             let arcs = cb.delay_arcs(pin.class_pin().index());
             if arcs.is_empty() {
@@ -1231,42 +1217,23 @@ impl Timer {
                 g_load += ev.d_delay_d_load * wa.as_slice()[k] * g_at[i];
                 g_load += ev.d_slew_d_load * ws.as_slice()[k] * g_slew[i];
             }
-            seeds[net.index()]
-                .as_mut()
-                .expect("register output nets are signal nets")
-                .grad_root_load += g_load;
+            eg.grad_root_load[net.index()] += g_load;
         }
 
         // --- Elmore backward per net (Eq. 8), rayon-parallel -------------------
-        let seeds: &[Option<ElmoreSeeds>] = seeds;
-        (0..forest.len())
-            .into_par_iter()
-            .map(|ni| {
-                let tree = forest.tree(NetId::new(ni))?;
-                let e = analysis.elmore[ni].as_ref()?;
-                let sd = seeds[ni].as_ref()?;
-                let nonzero = sd.grad_root_load != 0.0
-                    || sd.grad_delay.iter().any(|&g| g != 0.0)
-                    || sd.grad_beta.iter().any(|&g| g != 0.0)
-                    || sd.grad_impulse_sq.iter().any(|&g| g != 0.0);
-                if !nonzero {
-                    return None;
-                }
-                let (gx, gy) = e.backward(tree, sd);
-                Some((ni, tree.scatter_gradient(&gx, &gy)))
-            })
-            .collect_into_vec(net_grads);
+        eg.backward(arena, forest);
 
+        // Serial merge in net and pin order: the sums do not depend on the
+        // pool width.
         for buf in [&mut out.pin_grad_x, &mut out.pin_grad_y] {
             buf.clear();
             buf.resize(n_pins, 0.0);
         }
-        for item in net_grads.iter().flatten() {
-            let (ni, per_pin) = item;
-            let pins = nl.net(NetId::new(*ni)).pins();
-            for (k, &(gx, gy)) in per_pin.iter().enumerate() {
-                out.pin_grad_x[pins[k].index()] += gx;
-                out.pin_grad_y[pins[k].index()] += gy;
+        for ni in 0..forest.len() {
+            let Some((gx, gy)) = eg.pin_grads(arena, ni) else { continue };
+            for (k, &p) in nl.net(NetId::new(ni)).pins().iter().enumerate() {
+                out.pin_grad_x[p.index()] += gx[k];
+                out.pin_grad_y[p.index()] += gy[k];
             }
         }
 
@@ -1283,8 +1250,9 @@ impl Timer {
     }
 
     /// Eq. (12): distributes a combinational output pin's gradient to its
-    /// fan-in pins and to the load of its own net. `inputs` is a reusable
-    /// staging buffer for the fan-in arc evaluations.
+    /// fan-in pins and to the load seed of its own net (`grad_root_load`,
+    /// per net). `inputs` is a reusable staging buffer for the fan-in arc
+    /// evaluations.
     #[allow(clippy::too_many_arguments)]
     fn backprop_cell_output(
         &self,
@@ -1294,7 +1262,7 @@ impl Timer {
         gamma: f64,
         g_at: &mut [f64],
         g_slew: &mut [f64],
-        seeds: &mut [Option<ElmoreSeeds>],
+        grad_root_load: &mut [f64],
         inputs: &mut Vec<(PinId, ArcEval)>,
     ) {
         let i = p.index();
@@ -1302,9 +1270,7 @@ impl Timer {
         let cell = nl.cell(pin.cell());
         let cb = &self.binding.classes[cell.class().index()];
         let net = pin.net();
-        let load = net
-            .and_then(|n| analysis.elmore[n.index()].as_ref())
-            .map_or(0.0, |e| e.root_load());
+        let load = net.and_then(|n| analysis.elmore(n)).map_or(0.0, |e| e.root_load());
         inputs.clear();
         for &(arc_idx, from_cp) in cb.delay_arcs(pin.class_pin().index()) {
             let from = cell.pins()[from_cp as usize];
@@ -1341,9 +1307,7 @@ impl Timer {
             // Eq. 12e
         }
         if let Some(n) = net {
-            if let Some(sd) = seeds[n.index()].as_mut() {
-                sd.grad_root_load += g_load;
-            }
+            grad_root_load[n.index()] += g_load;
         }
     }
 }

@@ -26,12 +26,14 @@
 //! level by level, and every untouched pin keeps its previous value — the
 //! result is bit-identical to a from-scratch analysis. For loop use, the
 //! `*_into` variants ([`Timer::analyze_into`],
+//! [`Timer::analyze_smoothed_no_rat_into`],
 //! [`Timer::analyze_incremental_into`], [`Timer::gradients_into`]) draw all
 //! buffers from a caller-owned [`AnalysisScratch`]; recycling retired
 //! analyses ([`AnalysisScratch::recycle`]) makes the steady-state timing
-//! iteration allocation-free. Internally the levelized graph, the per-class
-//! delay arcs and the per-net pin capacitances are stored in flat CSR form
-//! (offsets + one contiguous data array) rather than nested `Vec`s.
+//! iteration allocation-free. Internally the Elmore state of all nets is one
+//! flat structure-of-arrays arena per analysis, and the levelized graph, the
+//! per-class delay arcs and the per-net pin capacitances are stored in flat
+//! CSR form (offsets + one contiguous data array) rather than nested `Vec`s.
 //!
 //! # Top-K critical-path extraction
 //!
@@ -78,7 +80,7 @@ mod report;
 mod smoothing;
 
 pub use binding::Binding;
-pub use elmore::{ElmoreNet, ElmoreSeeds};
+pub use elmore::{Elmore, ElmoreNet, ElmoreSeeds, ElmoreView};
 pub use engine::{
     Analysis, AnalysisScratch, PositionGradients, Timer, TimerConfig, WireModel, MAX_INLINE_ARCS,
 };

@@ -123,12 +123,14 @@ fn tables_forest_incremental_matches_full() {
     // Incremental STA over a topology-table forest maintained with the
     // parallel scratch sweeps must still match a from-scratch analysis:
     // the timer only sees trees, so the table backend and sequence cache
-    // must be invisible to it.
+    // must be invisible to it. The rebuilds change some trees' node counts,
+    // which moves every later net's range in the Elmore arena.
     let mut design = generate(&GeneratorConfig::named("inc_tab", 250)).expect("generator");
     let lib = synthetic_pdk();
     let timer = Timer::new(&design, &lib).expect("timer builds");
     let mut forest = build_forest_with(&design.netlist, TableConfig::default());
     let prev = timer.analyze(&design.netlist, &forest);
+    let prev_smoothed = timer.analyze_smoothed(&design.netlist, &forest);
 
     let mut rng = StdRng::seed_from_u64(7);
     let movable: Vec<CellId> = design.netlist.movable_cells().collect();
@@ -150,12 +152,33 @@ fn tables_forest_incremental_matches_full() {
             }
         }
     }
+    let nodes_before: Vec<usize> =
+        dirty.iter().map(|&n| forest.tree(n).expect("signal net").num_nodes()).collect();
     let mut scratch = ForestScratch::new();
     forest.rebuild_nets_into(&design.netlist, &dirty, &mut scratch);
+    let resized = dirty
+        .iter()
+        .zip(&nodes_before)
+        .filter(|&(&n, &before)| forest.tree(n).expect("signal net").num_nodes() != before)
+        .count();
+    assert!(resized > 0, "no rebuilt net changed its tree node count");
 
     let incr = timer.analyze_incremental(&design.netlist, &forest, &prev, &moved, true);
     let full = timer.analyze(&design.netlist, &forest);
     assert_analyses_equal(&incr, &full);
+
+    // The gradients read the arena through the new offsets: the incremental
+    // smoothed analysis must give exactly the fresh one's gradients.
+    let nl = &design.netlist;
+    let incr = timer.analyze_incremental(nl, &forest, &prev_smoothed, &moved, false);
+    let fresh = timer.analyze_smoothed(nl, &forest);
+    let g_incr = timer.gradients(nl, &incr, &forest, 0.04, 0.0004);
+    let g_fresh = timer.gradients(nl, &fresh, &forest, 0.04, 0.0004);
+    assert!(g_fresh.pin_grad_x.iter().any(|&g| g != 0.0), "the objective has a gradient");
+    let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&g_incr.pin_grad_x), bits(&g_fresh.pin_grad_x));
+    assert_eq!(bits(&g_incr.pin_grad_y), bits(&g_fresh.pin_grad_y));
+    assert_eq!(g_incr.objective.to_bits(), g_fresh.objective.to_bits());
 }
 
 mod drift_properties {
