@@ -1,6 +1,6 @@
 //! Electrostatics-kernel benchmark emitting `BENCH_density.json`.
 //!
-//! Four measurements, mirroring `bench_route`'s hand-timed style:
+//! Three measurements, mirroring `bench_route`'s hand-timed style:
 //!
 //! 1. **Poisson solve**: dense reference transforms vs the radix-2 FFT
 //!    backend on 64²–512² grids (the acceptance target is ≥ 5× at 256²).
@@ -9,16 +9,14 @@
 //!    global allocator (`evaluate_into` must be zero in steady state).
 //! 3. **Dispatch overhead**: spawning scoped threads per parallel region vs
 //!    reusing the persistent worker pool.
-//! 4. **Flow parity**: the full differentiable flow with `density_fft`
-//!    on/off — final HPWL and TNS must agree closely (the two backends
-//!    differ only in floating-point rounding).
+//!
+//! FFT-vs-dense parity of the density model itself is checked by the
+//! `dtp-place` tests (`density_golden`, `properties`).
 //!
 //! Usage: `cargo run --release -p dtp-bench --bin bench_density [-- cells]`
-//! (default 4000). `--smoke` runs a tiny configuration for CI (small grids,
-//! short flows).
+//! (default 4000). `--smoke` runs a tiny configuration for CI (small
+//! grids).
 
-use dtp_core::{run_flow, FlowConfig, FlowMode};
-use dtp_liberty::synth::synthetic_pdk;
 use dtp_netlist::generate::{generate, GeneratorConfig};
 use dtp_place::{DensityModel, DensityResult, DensityScratch, PoissonScratch, PoissonSolution, Spectral2D};
 use std::fmt::Write as _;
@@ -194,59 +192,13 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"dispatch\": {{\"threads\": {threads}, \"spawn_ns\": {spawn_ns:.0}, \
-         \"pool_ns\": {pool_ns:.0}, \"speedup\": {dispatch_speedup:.1}}},"
+         \"pool_ns\": {pool_ns:.0}, \"speedup\": {dispatch_speedup:.1}}}"
     );
     println!(
         "dispatch ({threads} lanes): scoped spawn {spawn_ns:.0} ns | persistent pool \
          {pool_ns:.0} ns ({dispatch_speedup:.1}x)"
     );
-
-    // --- 4. Flow parity: density_fft on vs off ---------------------------
-    let lib = synthetic_pdk();
-    let cfg_fft = FlowConfig {
-        max_iters: if smoke { 120 } else { 500 },
-        trace_timing_every: 0,
-        density_fft: true,
-        ..FlowConfig::default()
-    };
-    let cfg_dense = FlowConfig { density_fft: false, ..cfg_fft };
-    let with_fft = run_flow(&design, &lib, FlowMode::differentiable(), &cfg_fft).unwrap();
-    let with_dense = run_flow(&design, &lib, FlowMode::differentiable(), &cfg_dense).unwrap();
-    let hpwl_delta = (with_fft.hpwl / with_dense.hpwl - 1.0).abs();
-    let tns_delta = if with_dense.tns.abs() > 0.0 {
-        (with_fft.tns.abs() / with_dense.tns.abs() - 1.0).abs()
-    } else {
-        0.0
-    };
-    let _ = writeln!(json, "  \"flow_parity\": {{");
-    for (label, r, comma) in [("fft", &with_fft, ","), ("dense", &with_dense, ",")] {
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{\"hpwl\": {:.0}, \"wns\": {:.1}, \"tns\": {:.1}, \
-             \"iterations\": {}, \"runtime_s\": {:.2}}}{comma}",
-            r.hpwl, r.wns, r.tns, r.iterations, r.runtime
-        );
-    }
-    let _ = writeln!(
-        json,
-        "    \"hpwl_rel_delta\": {hpwl_delta:.6}, \"tns_rel_delta\": {tns_delta:.6}"
-    );
-    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write("BENCH_density.json", &json).expect("write BENCH_density.json");
-
-    println!(
-        "flow parity: fft HPWL {:.0} / TNS {:.1} ({} iters, {:.1} s) vs dense HPWL {:.0} / \
-         TNS {:.1} ({} iters, {:.1} s)",
-        with_fft.hpwl,
-        with_fft.tns,
-        with_fft.iterations,
-        with_fft.runtime,
-        with_dense.hpwl,
-        with_dense.tns,
-        with_dense.iterations,
-        with_dense.runtime
-    );
-    println!("  HPWL delta {:.4}% | TNS delta {:.4}%", hpwl_delta * 100.0, tns_delta * 100.0);
     println!("wrote BENCH_density.json");
 }

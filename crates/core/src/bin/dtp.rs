@@ -8,7 +8,7 @@
 //!           [--mode wirelength|net-weighting|differentiable|path-extraction]
 //!           [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F]
 //!           [--out dir] [--svg file]
-//!           [--bins N] [--no-density-fft] [--max-iters N] [--threads N]
+//!           [--bins N] [--max-iters N] [--threads N]
 //!           [--multilevel] [--cluster-ratio F] [--levels N]
 //!           [--route] [--route-grid N] [--route-capacity C] [--route-weight W]
 //!           [--inflation-max F] [--route-period N]
@@ -140,9 +140,8 @@ fn cmd_place(args: &[String]) -> CliResult {
              [--mode wirelength|net-weighting|differentiable|path-extraction] \
              [--top-k N] [--extract-period N] [--path-decay F] [--pin-weight-cap F] \
              [--out dir] [--svg file] \
-             [--bins N] [--no-density-fft] [--max-iters N] [--threads N] \
+             [--bins N] [--max-iters N] [--threads N] \
              [--multilevel] [--cluster-ratio F] [--levels N] \
-             [--no-rsmt-tables] [--rsmt-table-max-degree N] \
              [--route] [--route-grid N] [--route-capacity C] [--route-weight W] \
              [--inflation-max F] [--route-period N] \
              [--observe] [--profile] [--metrics-out file] [--trace-out file] \
@@ -218,18 +217,6 @@ fn cmd_place(args: &[String]) -> CliResult {
             }
             "--bins" => {
                 config.bins = num(args, i)?;
-                i += 2;
-            }
-            "--no-density-fft" => {
-                config.density_fft = false;
-                i += 1;
-            }
-            "--no-rsmt-tables" => {
-                config.rsmt_tables = false;
-                i += 1;
-            }
-            "--rsmt-table-max-degree" => {
-                config.rsmt_table_max_degree = num(args, i)?;
                 i += 2;
             }
             "--route" => {
@@ -313,13 +300,25 @@ fn cmd_place(args: &[String]) -> CliResult {
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
+    // A density grid needs at least 2×2 bins, and a routing supply must be a
+    // positive number; both are rejected here rather than panicking mid-flow.
+    if config.bins < 2 {
+        return Err(format!("option `--bins` must be at least 2, got {}", config.bins).into());
+    }
+    if !(config.route_capacity.is_finite() && config.route_capacity > 0.0) {
+        return Err(format!(
+            "option `--route-capacity` must be a finite number above 0, got {}",
+            config.route_capacity
+        )
+        .into());
+    }
     // The FFT Poisson backend needs a power-of-two grid; round a custom
     // `--bins` up rather than silently dropping to the dense solver.
-    if config.density_fft && !config.bins.is_power_of_two() {
+    if !config.bins.is_power_of_two() {
         let rounded = config.bins.next_power_of_two();
         obs::warn!(
             "warning: --bins {} is not a power of two; rounding up to {rounded} so the \
-             FFT density solver applies (use --no-density-fft to keep the exact grid)",
+             FFT density solver applies",
             config.bins
         );
         config.bins = rounded;
@@ -384,11 +383,7 @@ fn cmd_place(args: &[String]) -> CliResult {
         config.route_grid, config.route_grid, config.route_capacity, r.congestion
     );
     if r.rsmt.trees > 0 {
-        obs::info!(
-            "steiner forest ({}): {}",
-            if config.rsmt_tables { "topology tables" } else { "legacy" },
-            r.rsmt
-        );
+        obs::info!("steiner forest (topology tables): {}", r.rsmt);
     }
     if profile {
         // Explicitly requested output: printed regardless of --log-level.

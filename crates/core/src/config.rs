@@ -313,15 +313,12 @@ pub struct FlowConfig {
     /// Stop when the density overflow drops below this ("the same stop
     /// criterion on density overflow" for all flows, §4).
     pub stop_overflow: f64,
-    /// Density bin grid (bins × bins).
+    /// Density bin grid (bins × bins). The Poisson solve uses the
+    /// O(N log N) FFT when this is a power of two and the dense reference
+    /// transforms otherwise.
     pub bins: usize,
     /// Target bin density.
     pub target_density: f64,
-    /// Use the O(N log N) FFT-based spectral Poisson solver for the density
-    /// model. Only takes effect when `bins` is a power of two (the radix-2
-    /// transforms require it); other grids fall back to the dense reference
-    /// transforms regardless. `false` forces the dense path everywhere.
-    pub density_fft: bool,
     /// Initial density weight λ as a fraction of the wirelength gradient
     /// norm; 0 = auto-balance.
     pub lambda_init: f64,
@@ -336,32 +333,12 @@ pub struct FlowConfig {
     pub detail_passes: usize,
     /// Which legalization algorithm runs after global placement.
     pub legalizer: LegalizerChoice,
-    /// Minimum Manhattan displacement (µm) below which a cell does not
-    /// dirty its nets. 0 = any nonzero movement counts.
-    pub dirty_threshold: f64,
     /// A net's Steiner topology is rebuilt when the accumulated worst cell
     /// drift since its last build exceeds this fraction of the net's pin
     /// bounding-box half-perimeter; until then only node coordinates are
     /// updated. These per-net budgets take the place of the paper's rebuild
     /// of every tree every 10 iterations (§3.6).
     pub topo_dirty_frac: f64,
-    /// Build the in-loop Steiner forest from the FLUTE-style topology
-    /// tables: optimal topologies at degree 4, near-optimal (clamped to
-    /// never lose to Prim) at degrees 5–9, plus the per-net sequence cache
-    /// that turns order-preserving moves into coordinate-only re-embeds.
-    /// `false` keeps the legacy exact-≤4 / Prim-≥5 constructions and leaves
-    /// the flow trajectory bit-for-bit identical to a build without the
-    /// tables.
-    pub rsmt_tables: bool,
-    /// Largest net degree served by the topology tables (clamped to 9);
-    /// nets above it use the Prim heuristic. Lowering this trades
-    /// wirelength accuracy for smaller per-class table generation cost.
-    pub rsmt_table_max_degree: usize,
-    /// Fall back to a full (non-incremental) analysis when more than this
-    /// fraction of nets is dirty in one iteration — past that point the
-    /// frontier sweep re-evaluates most of the graph anyway and the
-    /// bookkeeping is pure overhead.
-    pub incremental_fallback_frac: f64,
     /// Enable the routability subsystem: the differentiable congestion
     /// penalty joins the objective and the RUDY feedback loop (cell
     /// inflation + congested-net weighting) runs every
@@ -448,23 +425,18 @@ impl LegalizerChoice {
 }
 
 /// The keys of [`FlowConfig::trace_fields`], in emission order.
-const CONFIG_KEYS: [&str; 27] = [
+const CONFIG_KEYS: [&str; 22] = [
     "max_iters",
     "stop_overflow",
     "bins",
     "target_density",
-    "density_fft",
     "lambda_init",
     "lambda_growth",
     "trace_timing_every",
     "seed",
     "detail_passes",
     "legalizer",
-    "dirty_threshold",
     "topo_dirty_frac",
-    "rsmt_tables",
-    "rsmt_table_max_degree",
-    "incremental_fallback_frac",
     "route_aware",
     "route_grid",
     "route_capacity",
@@ -534,7 +506,6 @@ impl FlowConfig {
             n("stop_overflow", self.stop_overflow),
             u("bins", self.bins),
             n("target_density", self.target_density),
-            b("density_fft", self.density_fft),
             n("lambda_init", self.lambda_init),
             n("lambda_growth", self.lambda_growth),
             u("trace_timing_every", self.trace_timing_every),
@@ -544,11 +515,7 @@ impl FlowConfig {
                 "legalizer".to_string(),
                 Value::Str(self.legalizer.name().to_string()),
             ),
-            n("dirty_threshold", self.dirty_threshold),
             n("topo_dirty_frac", self.topo_dirty_frac),
-            b("rsmt_tables", self.rsmt_tables),
-            u("rsmt_table_max_degree", self.rsmt_table_max_degree),
-            n("incremental_fallback_frac", self.incremental_fallback_frac),
             b("route_aware", self.route_aware),
             u("route_grid", self.route_grid),
             n("route_capacity", self.route_capacity),
@@ -579,7 +546,6 @@ impl FlowConfig {
             stop_overflow: num(fields, "stop_overflow")?,
             bins: int(fields, "bins")?,
             target_density: num(fields, "target_density")?,
-            density_fft: boolean(fields, "density_fft")?,
             lambda_init: num(fields, "lambda_init")?,
             lambda_growth: num(fields, "lambda_growth")?,
             trace_timing_every: int(fields, "trace_timing_every")?,
@@ -589,11 +555,7 @@ impl FlowConfig {
             detail_passes: int(fields, "detail_passes")?,
             legalizer: LegalizerChoice::from_name(legalizer_name)
                 .ok_or_else(|| format!("unknown legalizer `{legalizer_name}`"))?,
-            dirty_threshold: num(fields, "dirty_threshold")?,
             topo_dirty_frac: num(fields, "topo_dirty_frac")?,
-            rsmt_tables: boolean(fields, "rsmt_tables")?,
-            rsmt_table_max_degree: int(fields, "rsmt_table_max_degree")?,
-            incremental_fallback_frac: num(fields, "incremental_fallback_frac")?,
             route_aware: boolean(fields, "route_aware")?,
             route_grid: int(fields, "route_grid")?,
             route_capacity: num(fields, "route_capacity")?,
@@ -616,18 +578,13 @@ impl Default for FlowConfig {
             stop_overflow: 0.10,
             bins: 64,
             target_density: 1.0,
-            density_fft: true,
             lambda_init: 0.0,
             lambda_growth: 1.05,
             trace_timing_every: 10,
             seed: 1,
             detail_passes: 2,
             legalizer: LegalizerChoice::Abacus,
-            dirty_threshold: 0.0,
             topo_dirty_frac: 0.10,
-            rsmt_tables: true,
-            rsmt_table_max_degree: 9,
-            incremental_fallback_frac: 0.30,
             route_aware: false,
             route_grid: 32,
             route_capacity: 0.5,
@@ -685,6 +642,20 @@ mod tests {
         let mut extra = fields.clone();
         extra.push(("bogus".to_string(), Value::Bool(true)));
         assert!(FlowConfig::from_trace_fields(&extra).is_err());
+        // Retired knobs are unknown fields, not silently ignored: a trace
+        // recorded with any of them does not replay.
+        for key in [
+            "density_fft",
+            "dirty_threshold",
+            "rsmt_tables",
+            "rsmt_table_max_degree",
+            "incremental_fallback_frac",
+        ] {
+            let mut retired = fields.clone();
+            retired.push((key.to_string(), Value::Num(0.0)));
+            let err = FlowConfig::from_trace_fields(&retired).expect_err(key);
+            assert_eq!(err, format!("unknown config field `{key}`"));
+        }
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! joins the gradient every iteration, and a RUDY feedback loop periodically
 //! inflates cells in overflowed bins and boosts the wirelength weight of
 //! nets crossing them. The exact RUDY map is maintained incrementally from
-//! the same geometry-dirty net sets that drive incremental timing.
+//! the geometry- and topology-dirty net sets of the Steiner-forest sync.
 
 use crate::config::{DiffTimingConfig, FlowConfig, FlowMode, LegalizerChoice};
 use crate::weighting::{NetWeighter, PathWeighter};
 use dtp_liberty::Library;
-use dtp_netlist::{coarsen, CellId, ClusterMap, Design, NetId, Netlist, NetlistError};
+use dtp_netlist::{coarsen, ClusterMap, Design, NetId, Netlist, NetlistError};
 use dtp_obs::{Counter, Gauge, IterEvent, Observer, Phase};
 use dtp_place::detail::DetailPlacer;
 use dtp_place::{
@@ -211,17 +211,16 @@ impl fmt::Display for FlowResult {
     }
 }
 
-/// Dirty-set bookkeeping for the incremental timing pipeline.
+/// Drift bookkeeping that keeps the in-loop Steiner forest in sync with the
+/// placement.
 ///
 /// Created with the in-loop forest and kept for the whole placement loop;
 /// every buffer persists between iterations so the per-iteration work is
 /// proportional to the number of moved cells, not the design size.
 #[derive(Default)]
-struct IncrementalState {
-    /// The dirty-set knobs of [`FlowConfig`].
-    dirty_threshold: f64,
+struct ForestSync {
+    /// [`FlowConfig::topo_dirty_frac`].
     topo_frac: f64,
-    fallback_frac: f64,
     /// Positions at the last Steiner-forest synchronization.
     last_x: Vec<f64>,
     last_y: Vec<f64>,
@@ -232,13 +231,8 @@ struct IncrementalState {
     net_budget: Vec<f64>,
     /// This-iteration max displacement per net (sparse; reset via `touched`).
     net_disp: Vec<f64>,
-    /// Cells moved since the last timing analysis (flags + dense list).
-    cell_moved: Vec<bool>,
-    moved_cells: Vec<CellId>,
-    /// Nets dirtied since the last timing analysis (flags + dense list).
-    net_dirty: Vec<bool>,
-    dirty_nets: Vec<usize>,
-    /// Per-iteration classification scratch.
+    /// This iteration's geometry-dirty and topology-dirty nets (the RUDY
+    /// map's incremental update reads both).
     geo_nets: Vec<NetId>,
     topo_nets: Vec<NetId>,
     touched: Vec<usize>,
@@ -246,7 +240,7 @@ struct IncrementalState {
     scratch: ForestScratch,
 }
 
-impl IncrementalState {
+impl ForestSync {
     /// Starts the bookkeeping from a freshly built forest: budgets from its
     /// trees, zero drift, reference positions = current positions.
     fn new(
@@ -255,19 +249,15 @@ impl IncrementalState {
         xs: &[f64],
         ys: &[f64],
         config: &FlowConfig,
-    ) -> IncrementalState {
+    ) -> ForestSync {
         let n = forest.len();
-        let mut state = IncrementalState {
-            dirty_threshold: config.dirty_threshold,
+        let mut state = ForestSync {
             topo_frac: config.topo_dirty_frac,
-            fallback_frac: config.incremental_fallback_frac,
             last_x: xs.to_vec(),
             last_y: ys.to_vec(),
             net_drift: vec![0.0; n],
             net_disp: vec![0.0; n],
-            cell_moved: vec![false; nl.num_cells()],
-            net_dirty: vec![false; n],
-            ..IncrementalState::default()
+            ..ForestSync::default()
         };
         state.net_budget = (0..n).map(|ni| state.budget(forest, NetId::new(ni))).collect();
         state.scratch.presize(nl.num_nets());
@@ -281,9 +271,9 @@ impl IncrementalState {
 
     /// Per-iteration forest maintenance: classify the nets of moved cells as
     /// geometry-dirty (coordinate update) or topology-dirty (per-net Steiner
-    /// rebuild once accumulated drift exceeds the bbox budget), apply both,
-    /// and fold the moved cells into the since-last-analysis dirty set.
-    fn sync_forest(
+    /// rebuild once accumulated drift exceeds the bbox budget) and apply
+    /// both.
+    fn sync(
         &mut self,
         nl: &Netlist,
         forest: &mut SteinerForest,
@@ -296,12 +286,8 @@ impl IncrementalState {
         for c in nl.movable_cells() {
             let i = c.index();
             let d = (xs[i] - self.last_x[i]).abs() + (ys[i] - self.last_y[i]).abs();
-            if d <= self.dirty_threshold {
-                continue;
-            }
-            if !self.cell_moved[i] {
-                self.cell_moved[i] = true;
-                self.moved_cells.push(c);
+            if d <= 0.0 {
+                continue; // a cell that did not move dirties no net
             }
             for &p in nl.cell(c).pins() {
                 let Some(net) = nl.pin(p).net() else { continue };
@@ -322,10 +308,6 @@ impl IncrementalState {
         for &ni in &self.touched {
             self.net_drift[ni] += self.net_disp[ni];
             self.net_disp[ni] = 0.0;
-            if !self.net_dirty[ni] {
-                self.net_dirty[ni] = true;
-                self.dirty_nets.push(ni);
-            }
             if self.net_drift[ni] > self.net_budget[ni] {
                 self.topo_nets.push(NetId::new(ni));
             } else {
@@ -344,28 +326,6 @@ impl IncrementalState {
         obs.add(Counter::ForestSyncs, 1);
         obs.add(Counter::GeoDirtyNets, self.geo_nets.len() as u64);
         obs.add(Counter::TopoDirtyNets, self.topo_nets.len() as u64);
-    }
-
-    /// Whether few enough nets were dirtied since the last analysis for an
-    /// incremental re-analysis to pay off (at most the fallback fraction).
-    fn incremental_pays(&self, num_nets: usize) -> bool {
-        let frac = if num_nets == 0 {
-            0.0
-        } else {
-            self.dirty_nets.len() as f64 / num_nets as f64
-        };
-        frac <= self.fallback_frac
-    }
-
-    /// Clears the since-last-analysis dirty set (call right after an
-    /// analysis consumed it).
-    fn mark_analyzed(&mut self) {
-        for c in self.moved_cells.drain(..) {
-            self.cell_moved[c.index()] = false;
-        }
-        for ni in self.dirty_nets.drain(..) {
-            self.net_dirty[ni] = false;
-        }
     }
 }
 
@@ -439,13 +399,7 @@ impl GpStep {
         }
         let nl = &work.netlist;
         let wl_model = WirelengthModel::new(nl);
-        let density = DensityModel::with_options(
-            work,
-            params.bins,
-            params.bins,
-            config.target_density,
-            config.density_fft,
-        );
+        let density = DensityModel::new(work, params.bins, params.bins, config.target_density);
         let bin_w = work.region.width() / params.bins as f64;
         let mut pin_count = vec![0.0f64; nl.num_cells()];
         for p in nl.pin_ids() {
@@ -579,13 +533,12 @@ impl GpStep {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum AnalysisKind {
     /// LSE-smoothed at the timer's γ and forward-only: the gradients never
-    /// read RATs, so no RAT sweep runs on either path.
+    /// read RATs, so no RAT sweep runs.
     Smoothed,
-    /// Exact, with RATs: the net weighter reads per-pin slacks, so the
-    /// incremental path recomputes the RAT sweep too.
+    /// Exact, with RATs: the net weighter reads per-pin slacks.
     WithRat,
     /// Exact and forward-only: path extraction reads only arrival times and
-    /// endpoint slacks, so no RAT sweep runs on either path.
+    /// endpoint slacks, so no RAT sweep runs.
     NoRat,
 }
 
@@ -617,8 +570,6 @@ struct TimingDriver {
     start: usize,
     period: usize,
     scratch: AnalysisScratch,
-    /// The latest analysis: the base of the next incremental one.
-    prev: Option<Analysis>,
 }
 
 impl TimingDriver {
@@ -660,7 +611,7 @@ impl TimingDriver {
             ),
         };
         let scratch = AnalysisScratch::new();
-        TimingDriver { timer, mechanism, start, period, scratch, prev: None }
+        TimingDriver { timer, mechanism, start, period, scratch }
     }
 
     /// The analysis the mechanism consumes.
@@ -686,62 +637,24 @@ impl TimingDriver {
         }
     }
 
-    /// Runs the mechanism's analysis on `forest`. With dirty-set
-    /// bookkeeping (`inc`), the previous analysis is updated incrementally
-    /// while few enough nets are dirty, and a full analysis past that point
-    /// counts as a fallback. Without it (coarse levels, which build a fresh
-    /// forest per analysis) every analysis is full.
-    fn analyze(
-        &mut self,
-        nl: &Netlist,
-        forest: &SteinerForest,
-        mut inc: Option<&mut IncrementalState>,
-        obs: &mut Observer,
-    ) -> Analysis {
-        let kind = self.analysis_kind();
-        let gamma = if kind == AnalysisKind::Smoothed { self.timer.config().gamma } else { 0.0 };
+    /// Runs the mechanism's full analysis on `forest`.
+    fn analyze(&mut self, nl: &Netlist, forest: &SteinerForest, obs: &mut Observer) -> Analysis {
         let sp = obs.start(Phase::StaForward);
-        let analysis = match (self.prev.take(), inc.as_deref_mut()) {
-            (Some(p), Some(inc)) if p.gamma == gamma && inc.incremental_pays(forest.len()) => {
-                obs.add(Counter::StaIncremental, 1);
-                let a = self.timer.analyze_incremental_into(
-                    nl,
-                    forest,
-                    &p,
-                    &inc.moved_cells,
-                    kind == AnalysisKind::WithRat,
-                    &mut self.scratch,
-                );
-                self.scratch.recycle(p);
-                a
-            }
-            (p, inc) => {
-                obs.add(Counter::StaFull, 1);
-                if let Some(p) = p {
-                    if inc.is_some() {
-                        obs.add(Counter::StaFallback, 1);
-                    }
-                    self.scratch.recycle(p);
-                }
-                let s = &mut self.scratch;
-                match kind {
-                    AnalysisKind::Smoothed => {
-                        self.timer.analyze_smoothed_no_rat_into(nl, forest, s)
-                    }
-                    AnalysisKind::WithRat => self.timer.analyze_into(nl, forest, s),
-                    AnalysisKind::NoRat => self.timer.analyze_no_rat_into(nl, forest, s),
-                }
-            }
+        obs.add(Counter::StaFull, 1);
+        let kind = self.analysis_kind();
+        let s = &mut self.scratch;
+        let analysis = match kind {
+            AnalysisKind::Smoothed => self.timer.analyze_smoothed_no_rat_into(nl, forest, s),
+            AnalysisKind::WithRat => self.timer.analyze_into(nl, forest, s),
+            AnalysisKind::NoRat => self.timer.analyze_no_rat_into(nl, forest, s),
         };
-        if let Some(inc) = inc {
-            inc.mark_analyzed();
-        }
         obs.stop(Phase::StaForward, sp);
         analysis
     }
 
     /// Feeds `analysis` into the objective: adds the scaled timing gradient
-    /// to `gp`'s gradient, or updates the net weights. Returns the exact
+    /// to `gp`'s gradient, or updates the net weights, then hands its buffers
+    /// back to the scratch pool for the next analysis. Returns the exact
     /// (WNS, TNS) it saw — NaN for the smoothed analysis.
     fn apply(
         &mut self,
@@ -790,7 +703,7 @@ impl TimingDriver {
             }
             Mechanism::None => (f64::NAN, f64::NAN),
         };
-        self.prev = Some(analysis);
+        self.scratch.recycle(analysis);
         traced
     }
 }
@@ -1087,7 +1000,7 @@ fn run_coarse_level(
             let forest = build_forest(&work.netlist);
             obs.stop(Phase::SteinerBuild, sp);
             obs.add(Counter::ForestBuilds, 1);
-            let analysis = d.analyze(&work.netlist, &forest, None, obs);
+            let analysis = d.analyze(&work.netlist, &forest, obs);
             (wns, tns) = d.apply(&work.netlist, &forest, analysis, &mut gp, obs);
         }
         gp.wirelength_density(driver.as_ref().and_then(TimingDriver::weights), obs);
@@ -1149,15 +1062,10 @@ fn run_flow_fine(
     }
 
     let mut route = config.route_aware.then(|| RouteState::new(&work, config));
-    // The in-loop Steiner forest and its dirty-set bookkeeping.
-    let mut tracked: Option<(SteinerForest, IncrementalState)> = None;
-    // Topology-table configuration for the in-loop forest; the post-GP and
-    // final reporting forests always use the legacy constructions so the
-    // reported metrics stay comparable across configurations.
-    let table_cfg = TableConfig {
-        enabled: config.rsmt_tables,
-        max_degree: config.rsmt_table_max_degree,
-    };
+    // The in-loop Steiner forest (built from the topology tables) and its
+    // drift bookkeeping; the post-GP and final reporting forests use the
+    // legacy constructions.
+    let mut tracked: Option<(SteinerForest, ForestSync)> = None;
     let mut trace = Vec::new();
 
     for iter in 0..config.max_iters {
@@ -1182,12 +1090,12 @@ fn run_flow_fine(
         // drift exceeds its bbox budget.
         if timing_active || trace_timing || route_active {
             match &mut tracked {
-                Some((f, inc)) => inc.sync_forest(&work.netlist, f, &gp.vx, &gp.vy, obs),
+                Some((f, sync)) => sync.sync(&work.netlist, f, &gp.vx, &gp.vy, obs),
                 None => {
                     let sp = obs.start(Phase::SteinerBuild);
-                    let f = build_forest_with(&work.netlist, table_cfg);
-                    let inc = IncrementalState::new(&work.netlist, &f, &gp.vx, &gp.vy, config);
-                    tracked = Some((f, inc));
+                    let f = build_forest_with(&work.netlist, TableConfig::default());
+                    let sync = ForestSync::new(&work.netlist, &f, &gp.vx, &gp.vy, config);
+                    tracked = Some((f, sync));
                     obs.stop(Phase::SteinerBuild, sp);
                     obs.add(Counter::ForestBuilds, 1);
                 }
@@ -1195,18 +1103,17 @@ fn run_flow_fine(
         }
 
         // Exact RUDY map maintenance: full build on activation, then
-        // incremental updates from the same geometry/topology-dirty net
-        // sets the incremental timer consumes (plus a cell-position scan
-        // for the pin-density term).
+        // incremental updates from the forest sync's geometry/topology-dirty
+        // net sets (plus a cell-position scan for the pin-density term).
         if let Some(rs) = route.as_mut().filter(|_| route_active) {
-            let (f, inc) = tracked.as_ref().expect("forest built when route is active");
+            let (f, sync) = tracked.as_ref().expect("forest built when route is active");
             let sp = obs.start(Phase::RudyUpdate);
             if iter == rs.start {
                 rs.map.build(&work.netlist, f);
                 obs.add(Counter::RudyBuilds, 1);
             } else {
-                rs.map.update_nets(f, &inc.geo_nets);
-                rs.map.update_nets(f, &inc.topo_nets);
+                rs.map.update_nets(f, &sync.geo_nets);
+                rs.map.update_nets(f, &sync.topo_nets);
                 rs.map.sync_cells(&work.netlist);
                 obs.add(Counter::RudyIncUpdates, 1);
             }
@@ -1276,8 +1183,8 @@ fn run_flow_fine(
         // effect from the next iteration's wirelength gradient.
         let (mut traced_wns, mut traced_tns) = (f64::NAN, f64::NAN);
         if driver.due(iter) {
-            let (f, inc) = tracked.as_mut().expect("forest built when timing is active");
-            let analysis = driver.analyze(&work.netlist, f, Some(inc), obs);
+            let (f, _) = tracked.as_ref().expect("forest built when timing is active");
+            let analysis = driver.analyze(&work.netlist, f, obs);
             (traced_wns, traced_tns) = driver.apply(&work.netlist, f, analysis, &mut gp, obs);
         }
 

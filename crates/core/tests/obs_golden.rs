@@ -254,16 +254,57 @@ fn cli_profile_metrics_and_trace_outputs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn cli_rejects_retired_mode_alias() {
-    // The short mode names are not accepted: parsing fails before any
-    // design is loaded, with exit status 1 and an error naming the mode.
+/// Runs `dtp place sb1 <args>` and asserts that it is rejected before any
+/// design is loaded: exit status 1 (not a panic's 101), a one-line error
+/// containing `needle`, and no result line.
+fn assert_place_rejects(args: &[&str], needle: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_dtp"))
-        .args(["place", "sb1", "--mode", "wl"])
+        .args(["place", "sb1"])
+        .args(args)
         .output()
         .expect("dtp runs");
-    assert_eq!(out.status.code(), Some(1), "`--mode wl` must exit 1");
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown mode"), "unexpected stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "no result line expected");
+    assert_eq!(
+        stderr.lines().count(),
+        1,
+        "{args:?}: expected one line, got: {stderr}"
+    );
+    assert!(
+        stderr.contains(needle),
+        "{args:?}: expected `{needle}` in: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?}: no result line expected");
+}
+
+#[test]
+fn cli_rejects_retired_mode_alias() {
+    // The short mode names are not accepted.
+    assert_place_rejects(&["--mode", "wl"], "unknown mode");
+}
+
+#[test]
+fn cli_rejects_retired_flags() {
+    // The density-backend and Steiner-table switches are gone; their flags
+    // are unknown options, not silently accepted.
+    for flag in [
+        "--no-density-fft",
+        "--no-rsmt-tables",
+        "--rsmt-table-max-degree",
+    ] {
+        assert_place_rejects(&[flag, "4"], &format!("unknown option `{flag}`"));
+    }
+}
+
+#[test]
+fn cli_rejects_degenerate_bins_and_route_capacity() {
+    // Values that used to panic mid-flow are rejected up front.
+    assert_place_rejects(&["--bins", "0"], "`--bins` must be at least 2");
+    assert_place_rejects(&["--bins", "1"], "`--bins` must be at least 2");
+    for cap in ["0", "-1", "nan"] {
+        assert_place_rejects(
+            &["--route", "--route-capacity", cap],
+            "`--route-capacity` must be",
+        );
+    }
 }

@@ -16,12 +16,13 @@ pub enum Counter {
     GeoDirtyNets,
     /// Nets classified topology-dirty (per-net Steiner rebuild).
     TopoDirtyNets,
-    /// Incremental STA analyses.
+    /// Incremental STA analyses (the placement flow runs none; callers of
+    /// `Timer::analyze_incremental*` may record them).
     StaIncremental,
-    /// Full STA analyses in the loop (first analysis or fallback).
+    /// Full STA analyses in the placement loop.
     StaFull,
-    /// Full analyses that were *fallbacks*: an incremental-eligible state
-    /// existed but the dirty fraction (or γ mismatch) forced a full sweep.
+    /// Full analyses that were *fallbacks* from an incremental-eligible
+    /// state (the placement flow records none).
     StaFallback,
     /// Full Steiner-forest builds.
     ForestBuilds,
